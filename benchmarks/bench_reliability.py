@@ -27,8 +27,9 @@ import time
 
 import numpy as np
 
-from repro import QueryModel, ScalarProductQuery, ShardedFunctionIndex
+from repro import QueryModel, ShardedFunctionIndex
 from repro.bench import print_table
+from repro.core.function_index import single_query
 from repro.reliability import faults as _flt
 
 from conftest import scaled
@@ -68,8 +69,7 @@ def _build(rng: np.random.Generator):
 
 def _bare_query(engine: ShardedFunctionIndex, normal: np.ndarray, offset: float):
     """The exact disarmed fan-out pipeline with every reliability hook removed."""
-    spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset)
-    engine._check_dim(spq)
+    spq = single_query(normal, offset, "<=", engine.feature_map.out_dim)
     engine._working_or_raise(spq)
     collections = engine._collections
     if engine._executor is None:

@@ -20,6 +20,7 @@ scan (and are flagged as such in the answer) instead of failing.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,10 @@ from .collection import PlanarIndexCollection
 from .domains import QueryModel
 from .feature_store import FeatureStore
 from .phi import FeatureMap, identity_map
-from .planar import QueryStats
-from .query import Comparison, ScalarProductQuery
+from .planar import QueryResult, WorkingQuery
+from .query import Comparison, ScalarProductQuery, check_k
 from .selection import SelectionStrategy
+from .stats import QueryStats, trace_fields
 from .topk import TopKResult
 
 # Workload recording hook (repro.tuning).  Import-order safe: the recorder
@@ -49,7 +51,16 @@ from .topk import TopKResult
 # recording is disarmed.
 from ..tuning import recorder as _tnr
 
-__all__ = ["FunctionIndex", "QueryAnswer"]
+__all__ = [
+    "FunctionIndex",
+    "QueryAnswer",
+    "batch_queries",
+    "octant_fallback",
+    "range_queries",
+    "scan_reference",
+    "single_query",
+    "split_fallbacks",
+]
 
 
 @dataclass(frozen=True)
@@ -76,16 +87,125 @@ class QueryAnswer:
         return int(self.ids.size)
 
 
-def _merge_batch_stats(parts: list[QueryStats]) -> QueryStats:
-    """Sum per-query diagnostics of a batch for its trace's cost record."""
-    return QueryStats(
-        n_total=sum(p.n_total for p in parts),
-        si_size=sum(p.si_size for p in parts),
-        ii_size=sum(p.ii_size for p in parts),
-        li_size=sum(p.li_size for p in parts),
-        n_verified=sum(p.n_verified for p in parts),
-        n_results=sum(p.n_results for p in parts),
-    )
+def single_query(
+    normal: np.ndarray, offset: float, op: Comparison | str, dim: int
+) -> ScalarProductQuery:
+    """Build one facade query, checking it against the feature dimension."""
+    spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
+    if spq.dim != dim:
+        raise DimensionMismatchError(
+            f"query has dimension {spq.dim}, feature space has {dim}"
+        )
+    return spq
+
+
+def range_queries(
+    normal: np.ndarray, low: float, high: float, dim: int
+) -> tuple[ScalarProductQuery, ScalarProductQuery]:
+    """The ``>= low`` and ``<= high`` bounds of one BETWEEN query."""
+    if not low <= high:
+        raise InvalidQueryError(f"empty range ({low}, {high})")
+    return single_query(normal, low, ">=", dim), single_query(normal, high, "<=", dim)
+
+
+def batch_queries(
+    normals: np.ndarray, offsets: np.ndarray, op: Comparison | str, dim: int
+) -> list[ScalarProductQuery]:
+    """Check a batch's ``(m, d')`` normals and ``m`` offsets; build its queries."""
+    normals = as_2d_float(normals, "normals")
+    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
+    if offsets.ndim != 1 or offsets.size != normals.shape[0]:
+        raise DimensionMismatchError(
+            f"{offsets.size} offsets for {normals.shape[0]} normals"
+        )
+    if normals.shape[0] and normals.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"queries have dimension {normals.shape[1]}, feature space has {dim}"
+        )
+    return [
+        ScalarProductQuery(normals[row], float(offsets[row]), op)
+        for row in range(normals.shape[0])
+    ]
+
+
+def scan_reference(
+    store: FeatureStore, queries: Sequence, k: int | None = None
+) -> list:
+    """Exact answers to ``queries`` by one scan of every live row of ``store``.
+
+    A query is a :class:`ScalarProductQuery`, or the ``(>= low, <= high)``
+    bound pair of a range query (one product tested against both bounds).
+
+    The reference both facades fall back on: over the whole store for
+    octant-incompatible queries, over one shard's store to recover a
+    failed shard.  Inequality and range queries yield a
+    :class:`QueryResult` whose stats mark every row verified; with ``k``
+    each query yields its :class:`SequentialScan` top-k.
+    """
+    ids, rows = store.get_all()
+    if k is not None:
+        from ..scan.baseline import SequentialScan
+
+        scan = SequentialScan(rows, ids)
+        return [scan.topk(spq, k) for spq in queries]
+    n = int(ids.size)
+    results = []
+    for query in queries:
+        if isinstance(query, tuple):
+            low_q, high_q = query
+            values = rows @ low_q.normal  # repro: noqa(REP001) — the scan reference itself
+            mask = (values >= low_q.offset) & (values <= high_q.offset)
+        else:
+            mask = query.evaluate(rows)
+        hits = np.sort(ids[mask])
+        results.append(QueryResult(hits, QueryStats(n, n, n, 0, n, int(hits.size))))
+    return results
+
+
+def octant_fallback(
+    kind: str, store: FeatureStore, query, k: int | None = None
+) -> QueryAnswer | TopKResult:
+    """Answer an octant-incompatible query by scanning ``store``.
+
+    Reported under ``route="octant-fallback"`` with the op's trace kind.
+    """
+    obs_on = _ort.active()
+    started = time.perf_counter() if obs_on else 0.0
+    result = scan_reference(store, [query], k)[0]
+    if obs_on:
+        _om.queries_total().inc(kind=kind, route="octant-fallback", strategy="none")
+        _om.verified_points().inc(len(store), kind=kind)
+        _om.query_latency().observe(
+            time.perf_counter() - started, kind=kind, route="octant-fallback"
+        )
+    return result if k is not None else QueryAnswer(result.ids, None, True)
+
+
+def split_fallbacks(
+    kind: str,
+    queries: Sequence[ScalarProductQuery],
+    translator: Translator,
+    store: FeatureStore,
+    scan_fallback: bool,
+    k: int | None = None,
+) -> tuple[list, list[int]]:
+    """Answer a batch's octant-incompatible queries by :func:`octant_fallback`.
+
+    Returns the positionally aligned answers (``None`` where a query can
+    use the indices) and the positions of those plannable queries.
+    """
+    answers: list = [None] * len(queries)
+    plannable: list[int] = []
+    for position, spq in enumerate(queries):
+        try:
+            WorkingQuery.build(spq, translator)
+        except InvalidQueryError:
+            if not scan_fallback:
+                raise
+            answers[position] = octant_fallback(kind, store, spq, k)
+            continue
+        plannable.append(position)
+    return answers, plannable
 
 
 class FunctionIndex:
@@ -259,25 +379,10 @@ class FunctionIndex:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def _scan(self, query: ScalarProductQuery) -> np.ndarray:
-        ids, rows = self._features.get_all()
-        mask = query.evaluate(rows)
-        return np.sort(ids[mask])
+    _trace_attrs: dict = {}
+    _trace_fields = staticmethod(trace_fields)
 
-    def _finish_trace(
-        self, ctx: _otr.TraceContext, answer: QueryAnswer, n_queries: int = 1
-    ) -> None:
-        """Close a monolithic facade trace (shards=1, never degraded)."""
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        _otr.finish(
-            ctx,
-            stats=answer.stats.to_dict if answer.stats is not None else None,
-            shards=1,
-            n_queries=n_queries,
-            results=len(answer),
-        )
-
+    @_otr.traced("inequality")
     def query(
         self,
         normal: np.ndarray,
@@ -285,29 +390,7 @@ class FunctionIndex:
         op: Comparison | str = Comparison.LE,
     ) -> QueryAnswer:
         """Answer the inequality query ``<normal, phi(x)> OP offset`` exactly."""
-        ctx = _otr.begin("inequality")
-        if ctx is None:
-            return self._query_impl(normal, offset, op)
-        try:
-            answer = self._query_impl(normal, offset, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(ctx, answer)
-        return answer
-
-    def _query_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query` (shared by the trace wrapper)."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
+        spq = single_query(normal, offset, op, self._phi.out_dim)
         if _tnr.RECORDING:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
         try:
@@ -315,22 +398,10 @@ class FunctionIndex:
         except InvalidQueryError:
             if not self._scan_fallback:
                 raise
-            return QueryAnswer(self._fallback_scan(spq, "inequality"), None, True)
+            return octant_fallback("inequality", self._features, spq)
         return QueryAnswer(result.ids, result.stats, False)
 
-    def _fallback_scan(self, query: ScalarProductQuery, kind: str) -> np.ndarray:
-        """Octant-fallback scan, reported under its own metric route."""
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        ids = self._scan(query)
-        if obs_on:
-            _om.queries_total().inc(kind=kind, route="octant-fallback", strategy="none")
-            _om.verified_points().inc(len(self), kind=kind)
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind=kind, route="octant-fallback"
-            )
-        return ids
-
+    @_otr.traced("range")
     def query_range(
         self,
         normal: np.ndarray,
@@ -343,32 +414,7 @@ class FunctionIndex:
         :meth:`PlanarIndex.query_range`); falls back to a scan for
         octant-incompatible normals.
         """
-        ctx = _otr.begin("range")
-        if ctx is None:
-            return self._query_range_impl(normal, low, high)
-        try:
-            answer = self._query_range_impl(normal, low, high)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(ctx, answer)
-        return answer
-
-    def _query_range_impl(
-        self,
-        normal: np.ndarray,
-        low: float,
-        high: float,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query_range`."""
-        if not low <= high:
-            raise InvalidQueryError(f"empty range ({low}, {high})")
-        low_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), low, ">=")
-        high_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), high, "<=")
-        if low_q.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {low_q.dim}, feature space has {self._phi.out_dim}"
-            )
+        low_q, high_q = range_queries(normal, low, high, self._phi.out_dim)
         if _tnr.RECORDING:
             # One sketch per bound (same normal, both operators).
             _tnr.record_query(low_q.normal, low, ">=", "range")
@@ -379,23 +425,11 @@ class FunctionIndex:
         except InvalidQueryError:
             if not self._scan_fallback:
                 raise
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            values = rows @ low_q.normal  # repro: noqa(REP001) — explicit opt-in scan fallback (guarded above)
-            mask = (values >= low) & (values <= high)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="range", route="octant-fallback", strategy="none"
-                )
-                _om.verified_points().inc(len(self), kind="range")
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="range", route="octant-fallback"
-                )
-            return QueryAnswer(np.sort(ids[mask]), None, True)
+            return octant_fallback("range", self._features, (low_q, high_q))
         result = self._collection.query_range(wq_low, wq_high)
         return QueryAnswer(result.ids, result.stats, False)
 
+    @_otr.traced("batch")
     def query_batch(
         self,
         normals: np.ndarray,
@@ -409,69 +443,18 @@ class FunctionIndex:
         :meth:`PlanarIndexCollection.query_batch`); octant-incompatible
         queries fall back to scans individually.  The batch is one trace.
         """
-        ctx = _otr.begin("batch")
-        if ctx is None:
-            return self._query_batch_impl(normals, offsets, op)
-        try:
-            answers = self._query_batch_impl(normals, offsets, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        parts = [answer.stats for answer in answers if answer.stats is not None]
-        merged = QueryAnswer(
-            np.empty(0, dtype=np.int64),
-            _merge_batch_stats(parts) if parts else None,
-            False,
-        )
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        _otr.finish(
-            ctx,
-            stats=merged.stats.to_dict if merged.stats is not None else None,
-            shards=1,
-            n_queries=len(answers),
-            results=sum(len(answer) for answer in answers),
-        )
-        return answers
-
-    def _query_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        op: Comparison | str = Comparison.LE,
-    ) -> list[QueryAnswer]:
-        """Untraced body of :meth:`query_batch`."""
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
+        queries = batch_queries(normals, offsets, op, self._phi.out_dim)
         if _tnr.RECORDING:
             for spq in queries:
                 _tnr.record_query(spq.normal, spq.offset, spq.op.value, "batch")
-        plannable: list[int] = []
-        answers: list[QueryAnswer | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            try:
-                self._collection.working_query(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                answers[position] = QueryAnswer(
-                    self._fallback_scan(spq, "batch"), None, True
-                )
-                continue
-            plannable.append(position)
+        answers, plannable = split_fallbacks(
+            "batch", queries, self._translator, self._features, self._scan_fallback
+        )
         if plannable:
             results = self._collection.query_batch([queries[p] for p in plannable])
             for position, result in zip(plannable, results):
                 answers[position] = QueryAnswer(result.ids, result.stats, False)
-        return answers  # type: ignore[return-value]
+        return answers
 
     def topk(
         self,
@@ -481,39 +464,14 @@ class FunctionIndex:
         op: Comparison | str = Comparison.LE,
     ) -> TopKResult:
         """Top-k satisfying points nearest the query hyperplane (Problem 2)."""
-        ctx = _otr.begin("topk")
-        if ctx is None:
-            return self._topk_impl(normal, offset, k, op)
-        try:
-            result = self._topk_impl(normal, offset, k, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        def cost() -> dict:
-            counters = result.stats.to_dict() if result.stats is not None else {}
-            counters["lbs_checked"] = int(result.n_checked)
-            return counters
+        return self._topk(normal, offset, check_k(k), op)
 
-        _otr.finish(
-            ctx, stats=cost, shards=1, results=int(result.ids.size)
-        )
-        return result
-
-    def _topk_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        k: int,
-        op: Comparison | str = Comparison.LE,
+    @_otr.traced("topk")
+    def _topk(
+        self, normal: np.ndarray, offset: float, k: int, op: Comparison | str
     ) -> TopKResult:
-        """Untraced body of :meth:`topk`."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
+        """Traced body of :meth:`topk` (``k`` already checked)."""
+        spq = single_query(normal, offset, op, self._phi.out_dim)
         if _tnr.RECORDING:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
         try:
@@ -521,20 +479,7 @@ class FunctionIndex:
         except InvalidQueryError:
             if not self._scan_fallback:
                 raise
-            from ..scan.baseline import SequentialScan
-
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            result = SequentialScan(rows, ids).topk(spq, k)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="topk", route="octant-fallback", strategy="none"
-                )
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="topk", route="octant-fallback"
-                )
-            return result
+            return octant_fallback("topk", self._features, spq, k)
 
     def topk_batch(
         self,
@@ -551,80 +496,30 @@ class FunctionIndex:
         queries fall back to sequential-scan top-k one by one.  The batch
         is one trace.
         """
-        ctx = _otr.begin("batch_topk")
-        if ctx is None:
-            return self._topk_batch_impl(normals, offsets, k, op)
-        try:
-            results = self._topk_batch_impl(normals, offsets, k, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        parts = [result.stats for result in results if result.stats is not None]
-        merged = _merge_batch_stats(parts) if parts else None
+        k = check_k(k)
+        return self._topk_batch(batch_queries(normals, offsets, op, self._phi.out_dim), k)
 
-        def cost() -> dict:
-            counters = merged.to_dict() if merged is not None else {}
-            counters["lbs_checked"] = sum(int(r.n_checked) for r in results)
-            return counters
-
-        _otr.finish(
-            ctx,
-            stats=cost,
-            shards=1,
-            n_queries=len(results),
-            results=sum(int(r.ids.size) for r in results),
-        )
-        return results
-
-    def _topk_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        k: int,
-        op: Comparison | str = Comparison.LE,
+    @_otr.traced("batch_topk")
+    def _topk_batch(
+        self, queries: list[ScalarProductQuery], k: int
     ) -> list[TopKResult]:
-        """Untraced body of :meth:`topk_batch`."""
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        if normals.shape[0] and normals.shape[1] != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"queries have dimension {normals.shape[1]}, feature space "
-                f"has {self._phi.out_dim}"
-            )
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
+        """Traced body of :meth:`topk_batch` (queries and ``k`` checked)."""
         if _tnr.RECORDING:
             for spq in queries:
                 _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        plannable: list[int] = []
-        results: list[TopKResult | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            try:
-                self._collection.working_query(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                from ..scan.baseline import SequentialScan
-
-                ids, rows = self._features.get_all()
-                results[position] = SequentialScan(rows, ids).topk(spq, k)
-                continue
-            plannable.append(position)
+        results, plannable = split_fallbacks(
+            "batch_topk",
+            queries,
+            self._translator,
+            self._features,
+            self._scan_fallback,
+            k,
+        )
         if plannable:
-            batched = self._collection.topk_batch(
-                [queries[p] for p in plannable], k
-            )
+            batched = self._collection.topk_batch([queries[p] for p in plannable], k)
             for position, result in zip(plannable, batched):
                 results[position] = result
-        return results  # type: ignore[return-value]
+        return results
 
     def explain(
         self,
@@ -685,17 +580,13 @@ class FunctionIndex:
         the sequential-scan fallback route instead of raising (when
         ``scan_fallback`` is set).
         """
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
+        spq = single_query(normal, offset, op, self._phi.out_dim)
         try:
             return self._collection.explain(spq)
         except InvalidQueryError as exc:
             if not self._scan_fallback:
                 raise
-            ids = self._scan(spq)
+            ids = scan_reference(self._features, [spq])[0].ids
             if _ort.active():
                 _om.explain_total().inc(route="octant-fallback")
             n = len(self)

@@ -60,7 +60,7 @@ from ..obs.explain import ExplainReport
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
 from .sorted_keys import SortedKeyStore
-from .stats import QueryStats
+from .stats import QueryStats, trace_fields
 from .topk import SharedCutoff, TopKBuffer, TopKResult
 
 __all__ = ["WorkingQuery", "QueryStats", "QueryResult", "PlanarIndex"]
@@ -384,6 +384,10 @@ class PlanarIndex:
     # Problem 1: inequality query (Algorithm 1)
     # ------------------------------------------------------------------ #
 
+    _trace_attrs: dict = {}
+    _trace_fields = staticmethod(trace_fields)
+
+    @_otr.traced("inequality", completeness=False)
     def query(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
         """Exact evaluation of an inequality query.
 
@@ -396,21 +400,6 @@ class PlanarIndex:
         gets the same head sampling and query-log records as the
         collection routes.
         """
-        ctx = _otr.begin("inequality")
-        if ctx is None:
-            return self._query_impl(query)
-        try:
-            result = self._query_impl(query)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        _otr.finish(
-            ctx, stats=result.stats.to_dict, results=result.stats.n_results
-        )
-        return result
-
-    def _query_impl(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
-        """Inequality evaluation body shared by traced and nested calls."""
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         if not _ort.active():
             r_lo, r_hi, _ = self.interval_ranks(wq)
@@ -630,6 +619,7 @@ class PlanarIndex:
     # Problem 2: top-k nearest neighbors (Algorithm 2)
     # ------------------------------------------------------------------ #
 
+    @_otr.traced("topk", completeness=False)
     def topk(
         self,
         query: ScalarProductQuery | WorkingQuery,
@@ -657,29 +647,6 @@ class PlanarIndex:
         facade already owns the trace (shard scans dispatched by the
         sharded engine attach to the engine's trace instead).
         """
-        ctx = _otr.begin("topk")
-        if ctx is None:
-            return self._topk_impl(query, k, cutoff)
-        try:
-            result = self._topk_impl(query, k, cutoff)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        def cost() -> dict:
-            counters = result.stats.to_dict()
-            counters["lbs_checked"] = int(result.n_checked)
-            return counters
-
-        _otr.finish(ctx, stats=cost, results=int(result.ids.size))
-        return result
-
-    def _topk_impl(
-        self,
-        query: ScalarProductQuery | WorkingQuery,
-        k: int,
-        cutoff: SharedCutoff | None = None,
-    ) -> TopKResult:
-        """Algorithm 2 body shared by traced and nested top-k calls."""
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)

@@ -17,7 +17,14 @@ from .._util import as_1d_float, describe_nonfinite
 from ..exceptions import InvalidQueryError
 from ..geometry.hyperplane import Hyperplane
 
-__all__ = ["Comparison", "ScalarProductQuery", "TopKQuery"]
+__all__ = ["Comparison", "ScalarProductQuery", "TopKQuery", "check_k"]
+
+
+def check_k(k: object) -> int:
+    """Validate a top-k ``k``: a positive ``int`` or numpy integer, not a ``bool``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
+        raise InvalidQueryError(f"k must be positive and integral, got {k!r}")
+    return int(k)
 
 
 class Comparison(enum.Enum):

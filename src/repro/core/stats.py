@@ -12,8 +12,9 @@ working.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Sequence
 
-__all__ = ["QueryStats"]
+__all__ = ["QueryStats", "trace_fields"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,22 @@ class QueryStats:
             return 0.0
         return self.n_verified / self.n_total
 
+    @classmethod
+    def merge(cls, parts: Sequence["QueryStats"]) -> "QueryStats":
+        """Sum diagnostics over disjoint parts: a batch's queries or a query's shards.
+
+        Every field is additive, so the merged fractions (pruned/verified)
+        are the point-weighted means of the parts' fractions.
+        """
+        return cls(
+            n_total=sum(p.n_total for p in parts),
+            si_size=sum(p.si_size for p in parts),
+            ii_size=sum(p.ii_size for p in parts),
+            li_size=sum(p.li_size for p in parts),
+            n_verified=sum(p.n_verified for p in parts),
+            n_results=sum(p.n_results for p in parts),
+        )
+
     def to_dict(self) -> dict:
         """JSON-friendly representation (used by EXPLAIN and exporters)."""
         return {
@@ -62,3 +79,39 @@ class QueryStats:
             "n_results": self.n_results,
             "pruned_fraction": self.pruned_fraction,
         }
+
+
+def trace_fields(result: Any, shards: int = 1) -> dict:
+    """The :func:`repro.obs.trace.finish` fields of one query-op result.
+
+    ``result`` is one answer (a ``QueryAnswer``, ``QueryResult`` or
+    ``TopKResult``) or a batch's list of them.  The cost counters are the
+    merged :class:`QueryStats` plus, for top-k answers, the summed LBS
+    ``lbs_checked``; they are built lazily, only for traces that are
+    recorded.
+    """
+    if isinstance(result, list):
+        answers = result
+        degraded = next((a.degraded for a in result if a.degraded is not None), None)
+        results = sum(int(a.ids.size) for a in result)
+    else:
+        answers = [result]
+        degraded = getattr(result, "degraded", None)
+        results = int(result.ids.size)
+
+    def cost() -> dict:
+        parts = [a.stats for a in answers if a.stats is not None]
+        counters = QueryStats.merge(parts).to_dict() if parts else {}
+        checked = [int(a.n_checked) for a in answers if hasattr(a, "n_checked")]
+        if checked:
+            counters["lbs_checked"] = sum(checked)
+        return counters
+
+    return {
+        "stats": cost,
+        "degraded": degraded,
+        "shards": shards,
+        "retries": degraded.retries if degraded is not None else 0,
+        "n_queries": len(answers),
+        "results": results,
+    }

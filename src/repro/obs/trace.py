@@ -23,18 +23,24 @@ the armed-but-unsampled cost is bounded by the ≤5% gate in
 ``repro_traces_total{kind,sampled}`` counter records *every* trace so
 throughput numbers never need extrapolating by the sample rate.
 
-Facade protocol (see ``FunctionIndex.query`` / ``ShardedFunctionIndex``)::
+Facade protocol (``FunctionIndex``, ``ShardedFunctionIndex`` and
+``PlanarIndex`` query ops)::
 
-    ctx = trace.begin("inequality")
-    if ctx is None:                  # disarmed, or nested in a trace
-        return self._query_impl(...)
-    try:
-        answer = self._query_impl(...)
-    except BaseException as exc:
-        trace.abort(ctx, exc)
-        raise
-    trace.finish(ctx, stats=..., degraded=..., shards=..., retries=...)
-    return answer
+    class Facade:
+        _trace_attrs = {}                # root-span attributes, e.g. shards
+
+        def _trace_fields(self, result):  # finish() keyword arguments
+            return {"stats": ..., "degraded": ..., "shards": ..., ...}
+
+        @trace.traced("inequality")
+        def query(self, normal, offset, op="<="):
+            ...                          # runs inside one query.inequality root
+
+:func:`traced` opens the root with :func:`begin`, closes it with
+:func:`abort` when the op raises and otherwise with :func:`finish`, after
+observing the answer's completeness.  Disarmed, or nested inside another
+trace, it only calls the op.  ``PlanarIndex`` ops pass
+``completeness=False``: an index answer is always complete.
 
 Executor submission sites capture the issuing thread's context with
 :func:`current` and re-enter it on the worker via ``with attach(ctx):``.
@@ -42,11 +48,12 @@ Executor submission sites capture the issuing thread's context with
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, TypeVar, Union
 
 from . import events as _events
 from . import metrics as _metrics
@@ -58,6 +65,7 @@ __all__ = [
     "begin",
     "finish",
     "abort",
+    "traced",
     "current",
     "attach",
     "is_sampled",
@@ -348,6 +356,46 @@ def abort(ctx: TraceContext, error: BaseException) -> None:
         record = _build_record(ctx, latency, slow=latency * 1000.0 >= _events.slow_ms())
         record["error"] = f"{type(error).__name__}: {error}"
         _events.emit(record)
+
+
+_Op = TypeVar("_Op", bound=Callable[..., Any])
+
+
+def traced(kind: str, completeness: bool = True) -> Callable[[_Op], _Op]:
+    """Decorate a facade query op so each call is one ``query.<kind>`` trace.
+
+    The op's owner supplies ``_trace_attrs`` (root-span attributes) and
+    ``_trace_fields(result)`` (the :func:`finish` keyword arguments for
+    the op's result, including ``degraded``).  An op that raises aborts
+    the trace and the exception propagates unchanged.  ``completeness``
+    observes ``repro_answer_completeness`` for every finished trace,
+    sampled or not, so the SLO completeness floor is evaluated over
+    exact data; index-level ops, always complete, turn it off.
+    """
+
+    def decorate(op: _Op) -> _Op:
+        @functools.wraps(op)
+        def run(self: Any, *args: Any, **kwargs: Any) -> Any:
+            ctx = begin(kind, **self._trace_attrs) if _rt.ENABLED else None  # repro: noqa(REP012) — thread-shared flag; process-pool backends re-arm per worker
+            if ctx is None:
+                return op(self, *args, **kwargs)
+            try:
+                result = op(self, *args, **kwargs)
+            except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
+                abort(ctx, exc)
+                raise
+            fields = self._trace_fields(result)
+            if completeness:
+                degraded = fields["degraded"]
+                _metrics.answer_completeness().observe(
+                    degraded.completeness if degraded is not None else 1.0, kind=kind
+                )
+            finish(ctx, **fields)
+            return result
+
+        return run  # type: ignore[return-value]
+
+    return decorate
 
 
 def _build_record(

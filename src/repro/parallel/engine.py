@@ -81,12 +81,20 @@ from .._util import as_2d_float, as_rng, require_finite_rows
 from ..core.collection import PlanarIndexCollection
 from ..core.domains import QueryModel
 from ..core.feature_store import FeatureStore
-from ..core.function_index import QueryAnswer
+from ..core.function_index import (
+    QueryAnswer,
+    batch_queries,
+    octant_fallback,
+    range_queries,
+    scan_reference,
+    single_query,
+    split_fallbacks,
+)
 from ..core.phi import FeatureMap, identity_map
 from ..core.planar import QueryResult, WorkingQuery
-from ..core.query import Comparison, ScalarProductQuery
+from ..core.query import Comparison, ScalarProductQuery, check_k
 from ..core.selection import SelectionStrategy
-from ..core.stats import QueryStats
+from ..core.stats import QueryStats, trace_fields
 from ..core.topk import SharedCutoff, TopKBuffer, TopKResult
 from ..exceptions import (
     DegradedAnswerError,
@@ -132,23 +140,6 @@ def _is_shard_fault(error: BaseException) -> bool:
     if isinstance(error, _CALLER_ERRORS):
         return False
     return True
-
-
-def _merge_stats(parts: Sequence[QueryStats]) -> QueryStats:
-    """Sum per-shard pruning diagnostics into one global view.
-
-    Every field is additive over a disjoint partition of the points, so
-    the merged fractions (pruned/verified) are the point-weighted means of
-    the shard fractions.
-    """
-    return QueryStats(
-        n_total=sum(p.n_total for p in parts),
-        si_size=sum(p.si_size for p in parts),
-        ii_size=sum(p.ii_size for p in parts),
-        li_size=sum(p.li_size for p in parts),
-        n_verified=sum(p.n_verified for p in parts),
-        n_results=sum(p.n_results for p in parts),
-    )
 
 
 class ShardedFunctionIndex:
@@ -261,6 +252,7 @@ class ShardedFunctionIndex:
         self._scan_fallback = bool(scan_fallback)
         self._rng = as_rng(rng)
         self._n_shards = int(n_shards)
+        self._trace_attrs = {"shards": self._n_shards}
         self._policy = str(policy)
         self._max_workers = (
             min(self._n_shards, os.cpu_count() or 1)
@@ -495,18 +487,16 @@ class ShardedFunctionIndex:
 
         Understands the three fan-out result shapes: ``QueryResult``,
         ``TopKResult`` (adds the LBS ``lbs_checked`` counter), and a
-        batch's ``list[QueryResult]`` (cell-wise sums).  These are the
-        counters the stitched-trace property test reconciles against the
-        merged answer's stats, so they must mirror ``_merge_stats``.
+        batch's ``list[QueryResult]`` (summed by ``QueryStats.merge``, like
+        the merged answer's stats that the stitched-trace property test
+        reconciles these counters against).
         """
         if isinstance(result, list):
-            parts = [entry.stats for entry in result if entry.stats is not None]
-            return {
-                "verified": sum(part.n_verified for part in parts),
-                "ii": sum(part.ii_size for part in parts),
-                "results": sum(part.n_results for part in parts),
-            }
-        stats = getattr(result, "stats", None)
+            stats = QueryStats.merge(
+                [entry.stats for entry in result if entry.stats is not None]
+            )
+        else:
+            stats = getattr(result, "stats", None)
         cost: dict[str, int] = {}
         if stats is not None:
             cost.update(
@@ -947,94 +937,6 @@ class ShardedFunctionIndex:
         """Octant-validate once (the translator is shared by all shards)."""
         return WorkingQuery.build(spq, self._translator)
 
-    def _check_dim(self, spq: ScalarProductQuery) -> None:
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
-
-    def _fallback_scan(self, spq: ScalarProductQuery, kind: str) -> np.ndarray:
-        """Octant-fallback: one scan over the shared store (all shards)."""
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        ids, rows = self._features.get_all()
-        mask = spq.evaluate(rows)
-        result = np.sort(ids[mask])
-        if obs_on:
-            _om.queries_total().inc(kind=kind, route="octant-fallback", strategy="none")
-            _om.verified_points().inc(len(self), kind=kind)
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind=kind, route="octant-fallback"
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Exact recovery scans (degraded mode)
-    # ------------------------------------------------------------------ #
-
-    def _shard_scan_stats(self, n_rows: int, n_results: int) -> QueryStats:
-        """Diagnostics for a recovery scan: every row verified, none pruned."""
-        return QueryStats(
-            n_total=n_rows,
-            si_size=n_rows,
-            ii_size=n_rows,
-            li_size=0,
-            n_verified=n_rows,
-            n_results=n_results,
-        )
-
-    def _recover_inequality(
-        self, spq: ScalarProductQuery, shard: int
-    ) -> QueryResult:
-        """Exact fallback for one failed shard: scan its live points."""
-        ids, rows = self._stores[shard].get_all()
-        hits = np.sort(ids[spq.evaluate(rows)])
-        return QueryResult(hits, self._shard_scan_stats(int(ids.size), int(hits.size)))
-
-    def _recover_batch(
-        self, queries: Sequence[ScalarProductQuery], shard: int
-    ) -> list[QueryResult]:
-        """Exact fallback for one failed shard of a batch fan-out."""
-        ids, rows = self._stores[shard].get_all()
-        out: list[QueryResult] = []
-        for spq in queries:
-            hits = np.sort(ids[spq.evaluate(rows)])
-            out.append(
-                QueryResult(hits, self._shard_scan_stats(int(ids.size), int(hits.size)))
-            )
-        return out
-
-    def _recover_range(
-        self,
-        low_q: ScalarProductQuery,
-        high_q: ScalarProductQuery,
-        shard: int,
-    ) -> QueryResult:
-        """Exact fallback for one failed shard of a range fan-out."""
-        ids, rows = self._stores[shard].get_all()
-        mask = low_q.evaluate(rows) & high_q.evaluate(rows)
-        hits = np.sort(ids[mask])
-        return QueryResult(hits, self._shard_scan_stats(int(ids.size), int(hits.size)))
-
-    def _recover_topk(
-        self, spq: ScalarProductQuery, k: int, shard: int
-    ) -> TopKResult:
-        """Exact fallback for one failed shard of a top-k fan-out."""
-        from ..scan.baseline import SequentialScan
-
-        ids, rows = self._stores[shard].get_all()
-        return SequentialScan(rows, ids).topk(spq, k)
-
-    def _recover_topk_batch(
-        self, queries: Sequence[ScalarProductQuery], k: int, shard: int
-    ) -> list[TopKResult]:
-        """Exact fallback for one failed shard of a batched top-k fan-out."""
-        from ..scan.baseline import SequentialScan
-
-        ids, rows = self._stores[shard].get_all()
-        scan = SequentialScan(rows, ids)
-        return [scan.topk(spq, k) for spq in queries]
-
     @staticmethod
     def _merge_inequality(
         results: Sequence[QueryResult | None],
@@ -1051,53 +953,18 @@ class ShardedFunctionIndex:
             return QueryAnswer(only.ids, only.stats, False, degraded)
         ids = np.sort(np.concatenate([result.ids for result in present]))
         return QueryAnswer(
-            ids, _merge_stats([result.stats for result in present]), False, degraded
+            ids, QueryStats.merge([result.stats for result in present]), False, degraded
         )
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
-    def _finish_trace(
-        self,
-        ctx: _otr.TraceContext,
-        *,
-        stats: QueryStats | None,
-        degraded: DegradedInfo | None,
-        results: int,
-        n_queries: int = 1,
-        lbs_checked: int | None = None,
-    ) -> None:
-        """Close a facade trace: completeness observation + query-log record.
+    def _trace_fields(self, result: object) -> dict:
+        """Finish fields of a query-op trace (see :func:`trace_fields`)."""
+        return trace_fields(result, self._n_shards)
 
-        Completeness is observed for *every* trace (sampled or not) so
-        the SLO completeness floor is evaluated over exact data; the
-        per-stage cost counters ride the query-log record, which is
-        emitted per the head-sampling / slow-query rules in
-        :mod:`repro.obs.trace`.
-        """
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(
-                degraded.completeness if degraded is not None else 1.0,
-                kind=ctx.kind,
-            )
-        def cost() -> dict:
-            counters = stats.to_dict() if stats is not None else {}
-            if lbs_checked is not None:
-                counters = dict(counters)
-                counters["lbs_checked"] = lbs_checked
-            return counters
-
-        _otr.finish(
-            ctx,
-            stats=cost,
-            degraded=degraded,
-            shards=self._n_shards,
-            retries=degraded.retries if degraded is not None else 0,
-            n_queries=n_queries,
-            results=results,
-        )
-
+    @_otr.traced("inequality")
     def query(
         self,
         normal: np.ndarray,
@@ -1105,28 +972,7 @@ class ShardedFunctionIndex:
         op: Comparison | str = Comparison.LE,
     ) -> QueryAnswer:
         """Answer ``<normal, phi(x)> OP offset`` exactly, fanned across shards."""
-        ctx = _otr.begin("inequality", shards=self._n_shards)
-        if ctx is None:
-            return self._query_impl(normal, offset, op)
-        try:
-            answer = self._query_impl(normal, offset, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(
-            ctx, stats=answer.stats, degraded=answer.degraded, results=len(answer)
-        )
-        return answer
-
-    def _query_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query` (shared by the trace wrapper)."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        self._check_dim(spq)
+        spq = single_query(normal, offset, op, self._phi.out_dim)
         if _tnr.RECORDING:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
         try:
@@ -1134,11 +980,11 @@ class ShardedFunctionIndex:
         except InvalidQueryError:
             if not self._scan_fallback:
                 raise
-            return QueryAnswer(self._fallback_scan(spq, "inequality"), None, True)
+            return octant_fallback("inequality", self._features, spq)
         results, degraded = self._map_shards(
             "inequality",
             lambda collection: collection.query(spq),
-            recover=lambda shard: self._recover_inequality(spq, shard),
+            recover=lambda shard: scan_reference(self._stores[shard], [spq])[0],
             task=("inequality", spq),
         )
         return self._merge_inequality(results, degraded)
@@ -1167,71 +1013,26 @@ class ShardedFunctionIndex:
         trace opens: a malformed or zero-query batch emits no trace, no
         spans, and no counters (it did no fan-out work to account for).
         """
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        if normals.shape[0] == 0:
-            return []
-        ctx = _otr.begin("batch", shards=self._n_shards)
-        if ctx is None:
-            return self._query_batch_impl(normals, offsets, op, timeout_s=timeout_s)
-        try:
-            answers = self._query_batch_impl(normals, offsets, op, timeout_s=timeout_s)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        parts = [answer.stats for answer in answers if answer.stats is not None]
-        degraded = next(
-            (answer.degraded for answer in answers if answer.degraded is not None), None
-        )
-        self._finish_trace(
-            ctx,
-            stats=_merge_stats(parts) if parts else None,
-            degraded=degraded,
-            results=sum(len(answer) for answer in answers),
-            n_queries=len(answers),
-        )
-        return answers
+        queries = batch_queries(normals, offsets, op, self._phi.out_dim)
+        return self._query_batch(queries, timeout_s) if queries else []
 
-    def _query_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        op: Comparison | str = Comparison.LE,
-        *,
-        timeout_s: float | None = None,
+    @_otr.traced("batch")
+    def _query_batch(
+        self, queries: list[ScalarProductQuery], timeout_s: float | None
     ) -> list[QueryAnswer]:
-        """Untraced body of :meth:`query_batch` (inputs pre-validated)."""
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
+        """Traced body of :meth:`query_batch` (queries already checked)."""
         if _tnr.RECORDING:
             for spq in queries:
                 _tnr.record_query(spq.normal, spq.offset, spq.op.value, "batch")
-        plannable: list[int] = []
-        answers: list[QueryAnswer | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            self._check_dim(spq)
-            try:
-                self._working_or_raise(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                answers[position] = QueryAnswer(
-                    self._fallback_scan(spq, "batch"), None, True
-                )
-                continue
-            plannable.append(position)
+        answers, plannable = split_fallbacks(
+            "batch", queries, self._translator, self._features, self._scan_fallback
+        )
         if plannable:
             subset = [queries[position] for position in plannable]
             per_shard, degraded = self._map_shards(
                 "batch",
                 lambda collection: collection.query_batch(subset),
-                recover=lambda shard: self._recover_batch(subset, shard),
+                recover=lambda shard: scan_reference(self._stores[shard], subset),
                 task=("batch", subset),
                 timeout_s=timeout_s,
             )
@@ -1243,8 +1044,9 @@ class ShardedFunctionIndex:
                     ],
                     degraded,
                 )
-        return answers  # type: ignore[return-value]
+        return answers
 
+    @_otr.traced("range")
     def query_range(
         self,
         normal: np.ndarray,
@@ -1252,31 +1054,7 @@ class ShardedFunctionIndex:
         high: float,
     ) -> QueryAnswer:
         """Exact BETWEEN query: ``low <= <normal, phi(x)> <= high``."""
-        ctx = _otr.begin("range", shards=self._n_shards)
-        if ctx is None:
-            return self._query_range_impl(normal, low, high)
-        try:
-            answer = self._query_range_impl(normal, low, high)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(
-            ctx, stats=answer.stats, degraded=answer.degraded, results=len(answer)
-        )
-        return answer
-
-    def _query_range_impl(
-        self,
-        normal: np.ndarray,
-        low: float,
-        high: float,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query_range`."""
-        if not low <= high:
-            raise InvalidQueryError(f"empty range ({low}, {high})")
-        low_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), low, ">=")
-        high_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), high, "<=")
-        self._check_dim(low_q)
+        low_q, high_q = range_queries(normal, low, high, self._phi.out_dim)
         if _tnr.RECORDING:
             # One sketch per bound (same normal, both operators).
             _tnr.record_query(low_q.normal, low, ">=", "range")
@@ -1287,24 +1065,13 @@ class ShardedFunctionIndex:
         except InvalidQueryError:
             if not self._scan_fallback:
                 raise
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            values = rows @ low_q.normal  # repro: noqa(REP001) — explicit opt-in scan fallback (guarded above)
-            mask = (values >= low) & (values <= high)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="range", route="octant-fallback", strategy="none"
-                )
-                _om.verified_points().inc(len(self), kind="range")
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="range", route="octant-fallback"
-                )
-            return QueryAnswer(np.sort(ids[mask]), None, True)
+            return octant_fallback("range", self._features, (low_q, high_q))
         results, degraded = self._map_shards(
             "range",
             lambda collection: collection.query_range(wq_low, wq_high),
-            recover=lambda shard: self._recover_range(low_q, high_q, shard),
+            recover=lambda shard: scan_reference(
+                self._stores[shard], [(low_q, high_q)]
+            )[0],
             task=("range", low_q, high_q),
         )
         return self._merge_inequality(results, degraded)
@@ -1324,33 +1091,14 @@ class ShardedFunctionIndex:
         through one :class:`~repro.core.topk.TopKBuffer` — identical ids,
         distances, and tie-breaks as the monolithic scan.
         """
-        ctx = _otr.begin("topk", shards=self._n_shards)
-        if ctx is None:
-            return self._topk_impl(normal, offset, k, op)
-        try:
-            result = self._topk_impl(normal, offset, k, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(
-            ctx,
-            stats=result.stats,
-            degraded=result.degraded,
-            results=int(result.ids.size),
-            lbs_checked=int(result.n_checked),
-        )
-        return result
+        return self._topk(normal, offset, check_k(k), op)
 
-    def _topk_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        k: int,
-        op: Comparison | str = Comparison.LE,
+    @_otr.traced("topk")
+    def _topk(
+        self, normal: np.ndarray, offset: float, k: int, op: Comparison | str
     ) -> TopKResult:
-        """Untraced body of :meth:`topk`."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        self._check_dim(spq)
+        """Traced body of :meth:`topk` (``k`` already checked)."""
+        spq = single_query(normal, offset, op, self._phi.out_dim)
         if _tnr.RECORDING:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
         try:
@@ -1358,20 +1106,7 @@ class ShardedFunctionIndex:
         except InvalidQueryError:
             if not self._scan_fallback:
                 raise
-            from ..scan.baseline import SequentialScan
-
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            result = SequentialScan(rows, ids).topk(spq, k)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="topk", route="octant-fallback", strategy="none"
-                )
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="topk", route="octant-fallback"
-                )
-            return result
+            return octant_fallback("topk", self._features, spq, k)
         # SharedCutoff publishes cross-shard pruning bounds between threads;
         # the process backend runs per-shard cutoffs instead (the worker
         # passes cutoff=None) — still exact, see repro.parallel.process.
@@ -1379,7 +1114,7 @@ class ShardedFunctionIndex:
         results, degraded = self._map_shards(
             "topk",
             lambda collection: collection.topk(spq, k, cutoff=cutoff),
-            recover=lambda shard: self._recover_topk(spq, k, shard),
+            recover=lambda shard: scan_reference(self._stores[shard], [spq], k)[0],
             task=("topk", spq, k),
         )
         return self._merge_topk(results, k, degraded)
@@ -1405,79 +1140,32 @@ class ShardedFunctionIndex:
         run before the trace opens, and ``timeout_s`` overrides the
         engine's ``query_timeout_s`` for this one call.
         """
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if normals.shape[0] == 0:
-            return []
-        ctx = _otr.begin("batch_topk", shards=self._n_shards)
-        if ctx is None:
-            return self._topk_batch_impl(normals, offsets, k, op, timeout_s=timeout_s)
-        try:
-            results = self._topk_batch_impl(
-                normals, offsets, k, op, timeout_s=timeout_s
-            )
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        parts = [result.stats for result in results if result.stats is not None]
-        degraded = next(
-            (result.degraded for result in results if result.degraded is not None),
-            None,
-        )
-        self._finish_trace(
-            ctx,
-            stats=_merge_stats(parts) if parts else None,
-            degraded=degraded,
-            results=sum(int(result.ids.size) for result in results),
-            n_queries=len(results),
-            lbs_checked=sum(int(result.n_checked) for result in results),
-        )
-        return results
+        k = check_k(k)
+        queries = batch_queries(normals, offsets, op, self._phi.out_dim)
+        return self._topk_batch(queries, k, timeout_s) if queries else []
 
-    def _topk_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-        *,
-        timeout_s: float | None = None,
+    @_otr.traced("batch_topk")
+    def _topk_batch(
+        self, queries: list[ScalarProductQuery], k: int, timeout_s: float | None
     ) -> list[TopKResult]:
-        """Untraced body of :meth:`topk_batch` (inputs pre-validated)."""
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
+        """Traced body of :meth:`topk_batch` (queries and ``k`` checked)."""
         if _tnr.RECORDING:
             for spq in queries:
                 _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        plannable: list[int] = []
-        results: list[TopKResult | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            self._check_dim(spq)
-            try:
-                self._working_or_raise(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                from ..scan.baseline import SequentialScan
-
-                ids, rows = self._features.get_all()
-                results[position] = SequentialScan(rows, ids).topk(spq, k)
-                continue
-            plannable.append(position)
+        results, plannable = split_fallbacks(
+            "batch_topk",
+            queries,
+            self._translator,
+            self._features,
+            self._scan_fallback,
+            k,
+        )
         if plannable:
             subset = [queries[position] for position in plannable]
             per_shard, degraded = self._map_shards(
                 "batch_topk",
                 lambda collection: collection.topk_batch(subset, k),
-                recover=lambda shard: self._recover_topk_batch(subset, k, shard),
+                recover=lambda shard: scan_reference(self._stores[shard], subset, k),
                 task=("batch_topk", subset, k),
                 timeout_s=timeout_s,
             )
@@ -1487,7 +1175,7 @@ class ShardedFunctionIndex:
                     for shard_results in per_shard
                 ]
                 results[position] = self._merge_topk(shard_slices, k, degraded)
-        return results  # type: ignore[return-value]
+        return results
 
     def _merge_topk(
         self,
@@ -1505,7 +1193,7 @@ class ShardedFunctionIndex:
         ids, distances = buffer.as_sorted()
         stats_parts = [result.stats for result in present]
         merged_stats = (
-            _merge_stats(stats_parts) if all(p is not None for p in stats_parts) else None
+            QueryStats.merge(stats_parts) if all(p is not None for p in stats_parts) else None
         )
         return TopKResult(
             ids=ids,

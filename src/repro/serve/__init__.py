@@ -3,7 +3,9 @@
 Turns concurrent network requests into the batched engine calls the
 parallel layer answers cheaply: a micro-batcher coalesces requests
 within a small time/size window into single ``query_batch`` /
-``topk_batch`` calls (answers bit-identical to direct library use), and
+``topk_batch`` calls (answers equal to the engine's own batch calls;
+equal to single-query calls only on integer-valued data, see
+``docs/serving.md``), and
 per-tenant admission control — token-bucket quotas, priority classes, a
 bounded queue with brownout shedding — keeps overload at the front door
 instead of inside the engine.  The resilience module closes the failure

@@ -2,11 +2,12 @@
 
 The service admits requests onto one asyncio queue; this module drains
 that queue and turns *windows* of requests into single
-``ShardedFunctionIndex.query_batch`` / ``topk_batch`` calls — the calls
-PR 8 made cheap — so concurrency buys amortization instead of executor
-contention.  Answers are **bit-identical** to direct library calls: the
-batcher only regroups requests, the engine's batch facades already
-guarantee batch ≡ loop-of-singles (property-tested on both sides).
+``ShardedFunctionIndex.query_batch`` / ``topk_batch`` calls — so
+concurrency buys amortization instead of executor contention.  Answers
+equal the engine's own ``query_batch`` / ``topk_batch`` answers: the
+batcher only regroups requests.  They equal a loop of single-query
+calls only on integer-valued data; on non-integer data the batch
+(GEMM) path can disagree at the boundary (see ``docs/serving.md``).
 
 Coalescing policy (``window > 0``):
 

@@ -98,6 +98,10 @@ class QueryService:
         self._jitter = RetryJitter(seed=1)
         self._server: Optional[asyncio.base_events.Server] = None
         self._phase = "idle"  #: "idle" | "running" | "draining" | "stopped"
+        # Connection handler tasks, and the writers of the connections
+        # waiting for their next request (what stop() closes).
+        self._connections: set = set()
+        self._idle: set = set()
         self._shed = {
             "quota": 0,
             "queue_full": 0,
@@ -152,14 +156,24 @@ class QueryService:
         ``503`` instead of depending on TCP teardown timing; the batcher
         then gets ``drain_timeout_s`` to flush the admitted backlog, after
         which stragglers fail fast (:class:`DrainTimeoutError` → 503).
+        Last, kept-alive connections are closed: idle ones at once, busy
+        ones once their response is written, so every connection handler
+        returns before the loop stops instead of being cancelled.
         """
         self._phase = "draining"
         server, self._server = self._server, None
         if server is not None:
             server.close()
-            await server.wait_closed()
         await self._batcher.stop(self._config.drain_timeout_s)
         self._phase = "stopped"
+        for writer in list(self._idle):
+            writer.close()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections), timeout=self._config.drain_timeout_s
+            )
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -170,9 +184,13 @@ class QueryService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Serve one keep-alive connection until EOF or protocol error."""
+        """Serve one keep-alive connection until EOF, protocol error or stop."""
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
-            while True:
+            while self._phase != "stopped":
+                self._idle.add(writer)
                 try:
                     request = await read_request(reader)
                 except HttpError as exc:
@@ -185,6 +203,7 @@ class QueryService:
                     )
                     await writer.drain()
                     return
+                self._idle.discard(writer)
                 if request is None:
                     return
                 status, payload, headers, content_type = await self._route(request)
@@ -203,6 +222,7 @@ class QueryService:
         except (ConnectionError, asyncio.IncompleteReadError):
             return  # client went away mid-request; nothing to answer
         finally:
+            self._idle.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

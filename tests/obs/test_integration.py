@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FunctionIndex, QueryModel
+from repro import FunctionIndex, QueryModel, ShardedFunctionIndex
 from repro.obs import metrics as obs_metrics
 from repro.obs import recent_traces, to_prometheus
 from repro.obs import runtime as obs_runtime
@@ -159,3 +159,52 @@ class TestMetricsRecorded:
         assert registry.n_samples() == before
         assert len(recent_traces()) == traces_before
         assert answer.stats is not None  # stats stay on, only telemetry is off
+
+
+class TestOctantFallbackTelemetry:
+    @pytest.mark.parametrize("n_shards", [None, 1, 2])
+    def test_every_op_records_the_same_series(
+        self, uniform_points, uniform_model, obs_enabled, n_shards
+    ):
+        """Each op's octant fallback counts one query, n verified points and
+        one latency sample per query, labelled with the op's trace kind."""
+        if n_shards is None:
+            facade = FunctionIndex(uniform_points, uniform_model, n_indices=5, rng=3)
+        else:
+            facade = ShardedFunctionIndex(
+                uniform_points, uniform_model, n_indices=5, rng=3, n_shards=n_shards
+            )
+        normal = np.array([1.0, -2.0, 1.0, -3.0])  # mixed signs: no octant fits
+        normals = np.vstack([normal, 2.0 * normal])
+        offsets = np.array([-30.0, 40.0])
+        ops = {
+            "inequality": (lambda: facade.query(normal, -30.0), 1),
+            "range": (lambda: facade.query_range(normal, -60.0, 30.0), 1),
+            "batch": (lambda: facade.query_batch(normals, offsets), 2),
+            "topk": (lambda: facade.topk(normal, -30.0, 5), 1),
+            "batch_topk": (lambda: facade.topk_batch(normals, offsets, 5), 2),
+        }
+        queries = obs_metrics.queries_total()
+        verified = obs_metrics.verified_points()
+        latency = obs_metrics.query_latency()
+
+        def series(kind):
+            return (
+                queries.value(kind=kind, route="octant-fallback", strategy="none"),
+                verified.value(kind=kind),
+                latency.count(kind=kind, route="octant-fallback"),
+            )
+
+        n = len(uniform_points)
+        try:
+            for kind, (run, n_queries) in ops.items():
+                before = series(kind)
+                run()
+                after = series(kind)
+                assert [a - b for a, b in zip(after, before)] == [
+                    n_queries,
+                    n_queries * n,
+                    n_queries,
+                ], kind
+        finally:
+            getattr(facade, "close", lambda: None)()

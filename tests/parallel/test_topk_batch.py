@@ -91,3 +91,49 @@ def test_validation_and_degenerate_batch(dataset, sharded):
     with pytest.raises(InvalidQueryError, match="k must be positive"):
         sharded.topk_batch(normals, offsets, 0)
     assert sharded.topk_batch(normals[:0], offsets[:0], 3) == []
+
+
+_K_LAYOUTS = [("mono", None)] + [
+    (layout, policy)
+    for layout in ("s1", "s2-thread", "s2-process")
+    for policy in ("raise", "degrade", "retry_then_degrade")
+]
+
+
+@pytest.mark.parametrize("k", [0, -3, 2.5, True])
+@pytest.mark.parametrize("layout,policy", _K_LAYOUTS)
+def test_invalid_k_is_a_caller_error_on_every_path(
+    dataset, obs_enabled, layout, policy, k
+):
+    """A bad ``k`` is rejected before any fan-out, never retried or wrapped."""
+    from repro.obs import metrics as obs_metrics
+
+    if layout == "s2-process" and not fork_available():
+        pytest.skip("process backend requires the fork start method")
+    points, model, normals, offsets = dataset
+    if layout == "mono":
+        facade = FunctionIndex(points, model, n_indices=8, rng=42)
+    else:
+        facade = ShardedFunctionIndex(
+            points,
+            model,
+            n_indices=8,
+            rng=42,
+            n_shards=1 if layout == "s1" else 2,
+            backend="process" if layout == "s2-process" else "thread",
+            failure_policy=policy,
+        )
+    retries = obs_metrics.shard_retries_total()
+    before = sum(retries.series().values())
+    try:
+        with pytest.raises(InvalidQueryError, match="k must be positive"):
+            facade.topk(normals[0], float(offsets[0]), k)
+        with pytest.raises(InvalidQueryError, match="k must be positive"):
+            facade.topk_batch(normals, offsets, k)
+        with pytest.raises(InvalidQueryError, match="k must be positive"):
+            facade.topk_batch(normals[:0], offsets[:0], k)
+        assert sum(retries.series().values()) == before
+        if layout == "mono":  # no fault sites, so safe under an ambient plan
+            assert len(facade.topk(normals[0], float(offsets[0]), np.int64(3))) == 3
+    finally:
+        getattr(facade, "close", lambda: None)()

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ScalarProductQuery
+from repro import FunctionIndex, ScalarProductQuery
+from repro.core.stats import QueryStats
 from repro.exceptions import (
     DegradedAnswerError,
     QueryTimeoutError,
     ShardFailureError,
 )
+from repro.parallel.process import fork_available
 from repro.reliability import faults as _flt
+from repro.scan.baseline import SequentialScan
 
 from ..conftest import brute_force_ids, brute_force_topk
 from .conftest import build_engine
@@ -248,3 +251,169 @@ class TestDisarmedParity:
             assert result.degraded is None
             assert np.array_equal(result.ids, mono_result.ids)
             assert np.array_equal(result.distances, mono_result.distances)
+
+
+_PARITY_LAYOUTS = {
+    "s1": {"n_shards": 1, "backend": "thread"},
+    "s2-thread": {"n_shards": 2, "backend": "thread"},
+    "s2-process": {"n_shards": 2, "backend": "process"},
+}
+_PARITY_OPS = ("query", "range", "batch", "topk", "batch_topk")
+_PARITY_K = 6
+
+
+def _parity_facade(layout):
+    if layout == "s2-process" and not fork_available():
+        pytest.skip("process backend requires the fork start method")
+    if layout == "mono":
+        engine, points, model = build_engine(n_shards=1)  # for its data only
+        engine.close()
+        return FunctionIndex(points, model, n_indices=3, rng=7), points
+    engine, points, _ = build_engine(
+        failure_policy="degrade", **_PARITY_LAYOUTS[layout]
+    )
+    return engine, points
+
+
+def _parity_queries(op, normal, offset):
+    """The op's queries as the oracle sees them (a range is its bound pair)."""
+    if op == "range":
+        return [
+            (
+                ScalarProductQuery(normal, offset - 40.0, ">="),
+                ScalarProductQuery(normal, offset, "<="),
+            )
+        ]
+    if op in ("batch", "batch_topk"):
+        return [
+            ScalarProductQuery(normal, offset),
+            ScalarProductQuery(2.0 * normal, 1.5 * offset),
+        ]
+    return [ScalarProductQuery(normal, offset)]
+
+
+def _run_op(facade, op, queries):
+    if op == "range":
+        low_q, high_q = queries[0]
+        return [facade.query_range(low_q.normal, low_q.offset, high_q.offset)]
+    spq = queries[0]
+    if op == "query":
+        return [facade.query(spq.normal, spq.offset)]
+    if op == "topk":
+        return [facade.topk(spq.normal, spq.offset, _PARITY_K)]
+    normals = np.vstack([q.normal for q in queries])
+    offsets = np.array([q.offset for q in queries])
+    if op == "batch":
+        return facade.query_batch(normals, offsets)
+    return facade.topk_batch(normals, offsets, _PARITY_K)
+
+
+def _oracle(op, query, points, ids):
+    """SequentialScan's (ids, distances, stats) for ``query`` over ``ids``."""
+    scan = SequentialScan(points[ids], ids)
+    if op in ("topk", "batch_topk"):
+        result = scan.topk(query, _PARITY_K)
+        return result.ids, result.distances, result.stats
+    if op == "range":
+        hits = np.intersect1d(scan.query(query[0]), scan.query(query[1]))
+    else:
+        hits = scan.query(query)
+    n = int(ids.size)
+    return hits, None, QueryStats(n, n, n, 0, n, int(hits.size))
+
+
+def _healthy_stats(engine, shard, op, queries):
+    """One healthy shard's per-query stats, straight from its collection."""
+    collection = engine.collections[shard]
+    if op == "range":
+        low_q, high_q = queries[0]
+        return [
+            collection.query_range(
+                engine._working_or_raise(low_q), engine._working_or_raise(high_q)
+            ).stats
+        ]
+    if op == "batch":
+        return [result.stats for result in collection.query_batch(queries)]
+    if op == "batch_topk":
+        return [r.stats for r in collection.topk_batch(queries, _PARITY_K)]
+    if op == "topk":
+        return [collection.topk(queries[0], _PARITY_K).stats]
+    return [collection.query(queries[0]).stats]
+
+
+def _assert_same_topk(answer, want_ids, want_distances, points, query):
+    """Top-k equality up to the choice among points tied at the k-th distance.
+
+    SequentialScan picks its k-th place by ``argpartition``, so which of
+    several equally distant points it keeps is arbitrary, while the
+    engine's merge keeps the smallest ids.  Distances must match exactly,
+    ids strictly inside the k-th distance too, and every id at that
+    distance must really lie there.
+    """
+    assert np.array_equal(answer.distances, want_distances)
+    if want_distances.size < _PARITY_K:
+        assert np.array_equal(answer.ids, want_ids)
+        return
+    inside = want_distances < want_distances[-1]
+    assert np.array_equal(answer.ids[inside], want_ids[inside])
+    tied = answer.ids[~inside]
+    values = points[tied] @ query.normal
+    assert query.op.evaluate(values, query.offset).all()
+    distances = np.abs(values - query.offset) / np.linalg.norm(query.normal)
+    assert np.array_equal(distances, answer.distances[~inside])
+
+
+class TestScanParity:
+    """The octant fallback and the degraded-mode recovery scan answer every
+    op exactly as SequentialScan does, with unchanged QueryStats."""
+
+    @pytest.mark.parametrize("op", _PARITY_OPS)
+    @pytest.mark.parametrize("layout", ["mono", *_PARITY_LAYOUTS])
+    def test_octant_fallback(self, layout, op):
+        facade, points = _parity_facade(layout)
+        normal = np.array([2.0, -1.0, 3.0, -1.0])  # mixed signs: no octant fits
+        queries = _parity_queries(op, normal, 20.0)
+        ids = np.arange(points.shape[0], dtype=np.int64)
+        try:
+            answers = _run_op(facade, op, queries)
+        finally:
+            getattr(facade, "close", lambda: None)()
+        assert len(answers) == len(queries)
+        for answer, query in zip(answers, queries):
+            want_ids, want_distances, want_stats = _oracle(op, query, points, ids)
+            assert np.array_equal(answer.ids, want_ids)
+            if want_distances is None:
+                assert answer.used_fallback and answer.stats is None
+            else:
+                assert np.array_equal(answer.distances, want_distances)
+                assert answer.stats == want_stats
+                assert answer.n_checked == points.shape[0]
+
+    @pytest.mark.parametrize("op", _PARITY_OPS)
+    @pytest.mark.parametrize("layout", list(_PARITY_LAYOUTS))
+    def test_recovery_scan(self, layout, op):
+        engine, points = _parity_facade(layout)
+        normal, offset = _query_args(points)
+        queries = _parity_queries(op, normal, offset)
+        failed = engine.n_shards - 1
+        with engine:
+            with _flt.injected(f"shard.query:error:shard={failed}"):
+                answers = _run_op(engine, op, queries)
+            failed_ids = engine._stores[failed].live_ids()
+            healthy = [
+                _healthy_stats(engine, shard, op, queries)
+                for shard in range(engine.n_shards)
+                if shard != failed
+            ]
+        all_ids = np.arange(points.shape[0], dtype=np.int64)
+        for slot, (answer, query) in enumerate(zip(answers, queries)):
+            want_ids, want_distances, _ = _oracle(op, query, points, all_ids)
+            if want_distances is None:
+                assert np.array_equal(answer.ids, want_ids)
+            else:
+                _assert_same_topk(answer, want_ids, want_distances, points, query)
+            scanned = _oracle(op, query, points, failed_ids)[2]
+            parts = [stats[slot] for stats in healthy] + [scanned]
+            assert answer.stats == QueryStats.merge(parts)
+            assert answer.degraded.recovered_shards == (failed,)
+            assert answer.degraded.completeness == 1.0
