@@ -41,6 +41,11 @@ class SharedCutoff:
 
     ``publish`` is atomic (one lock-protected min); ``get`` is a bare
     read — stale reads only delay pruning, never break it.
+
+    A pickled copy (a shard task sent to a forked worker) starts again as
+    a fresh bound that only the receiving shard publishes to.  Such a
+    private bound never drops below the shard's own buffered k-th
+    distance, so it prunes exactly as ``cutoff=None`` would.
     """
 
     __slots__ = ("_lock", "_value")
@@ -59,6 +64,9 @@ class SharedCutoff:
     def get(self) -> float:
         """Current bound (``inf`` until any scan has ``k`` candidates)."""
         return self._value
+
+    def __reduce__(self) -> tuple:
+        return (SharedCutoff, ())
 
 
 class TopKBuffer:

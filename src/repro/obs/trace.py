@@ -52,8 +52,8 @@ import functools
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, TypeVar, Union
+from contextlib import contextmanager, nullcontext
+from typing import Any, Callable, ContextManager, Dict, Iterator, Mapping, Optional, TypeVar, Union
 
 from . import events as _events
 from . import metrics as _metrics
@@ -218,6 +218,9 @@ class _Current(threading.local):
 
 
 _CURRENT = _Current()
+
+#: What :func:`attach` returns for ``None``: nothing to re-enter.
+_DETACHED = nullcontext()
 
 
 def current() -> Optional[TraceContext]:
@@ -432,19 +435,21 @@ def _build_record(
     return record
 
 
-@contextmanager
-def attach(ctx: Optional[TraceContext]) -> Iterator[None]:
+def attach(ctx: Optional[TraceContext]) -> ContextManager[None]:
     """Re-enter a captured trace context on an executor worker thread.
 
     Inside the block the worker inherits the trace's sampling decision:
     sampled traces get the root span adopted (worker spans stitch into
     the issuing query's tree), unsampled traces mute the worker's
-    telemetry for the duration.  ``attach(None)`` is a no-op so callers
-    can pass :func:`current`'s result unconditionally.
+    telemetry for the duration.  ``attach(None)`` is a shared no-op
+    context, cheap enough for inline shard work, so callers can pass
+    :func:`current`'s result unconditionally.
     """
-    if ctx is None:
-        yield
-        return
+    return _DETACHED if ctx is None else _attached(ctx)
+
+
+@contextmanager
+def _attached(ctx: TraceContext) -> Iterator[None]:
     previous = _CURRENT.ctx
     _CURRENT.ctx = ctx
     if ctx.sampled and ctx.root is not None:

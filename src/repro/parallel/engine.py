@@ -34,9 +34,18 @@ Results are *bit-identical* to the monolithic path:
   so tie-breaks by id survive the merge through
   :class:`~repro.core.topk.TopKBuffer` unchanged.
 
-The single-shard configuration bypasses both the view and the executor —
-shard 0 *is* the monolithic collection — so ``n_shards=1`` costs only the
-facade indirection.
+Execution
+---------
+Every query op hands its shard work to the fan-out as one *shard task*
+``(kind, args)`` — the :class:`~repro.core.collection.PlanarIndexCollection`
+method named by :data:`~repro.parallel.process.SHARD_METHODS` and its
+arguments.  One wave method runs a task on a list of shards: inline when
+the layout has one shard and no deadline (shard 0 *is* the monolithic
+collection, so ``n_shards=1`` costs only the facade indirection), else
+on the thread or the process pool; the first wave and every retry go
+through it, and one loop collects its results and failures.  There is
+no separate fast path: with faults disarmed and obs off, a pool thread
+simply runs the bound collection method with no wrapper frame.
 
 Fault tolerance (see ``docs/reliability.md``)
 ---------------------------------------------
@@ -73,7 +82,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -114,7 +123,7 @@ from ..obs import trace as _otr
 from ..reliability import faults as _flt
 from ..reliability.degraded import DegradedInfo, FailurePolicy
 from ..tuning import recorder as _tnr
-from .process import ProcessShardPool, fork_available
+from . import process as _prc
 from .sharding import SHARD_POLICIES, assign_shards
 from .view import FeatureStoreView
 
@@ -221,7 +230,7 @@ class ShardedFunctionIndex:
             raise ValueError(
                 f"unknown shard backend {backend!r}; choose from {SHARD_BACKENDS}"
             )
-        if backend == "process" and not fork_available():
+        if backend == "process" and not _prc.fork_available():
             raise ValueError(
                 "backend='process' requires the fork start method, which this "
                 "platform does not provide; use backend='thread'"
@@ -261,7 +270,7 @@ class ShardedFunctionIndex:
         )
         self._executor: ThreadPoolExecutor | None = None
         self._backend = str(backend)
-        self._process_pool: ProcessShardPool | None = None
+        self._process_pool: _prc.ProcessShardPool | None = None
         self._failure_policy = FailurePolicy.parse(failure_policy)
         self._query_timeout_s = (
             None if query_timeout_s is None else float(query_timeout_s)
@@ -322,16 +331,10 @@ class ShardedFunctionIndex:
         """Shut down the fan-out worker pools (thread and process).
 
         Idempotent and exception-safe: each pool reference is cleared
-        *before* shutdown, so a second :meth:`close` (or closing after an
-        in-query failure) is a no-op, and shutdown errors are swallowed —
-        teardown must never mask the exception that triggered it.
+        *before* shutdown, and shutdown errors are swallowed — teardown
+        must never mask the exception that triggered it.
         """
-        pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            try:
-                pool.shutdown()
-            except Exception:  # repro: noqa(REP005) — close() must never raise (teardown path)
-                pass
+        self._invalidate_process_pool()
         executor, self._executor = self._executor, None
         if executor is None:
             return
@@ -370,7 +373,7 @@ class ShardedFunctionIndex:
             )
         return self._executor
 
-    def _ensure_process_pool(self) -> ProcessShardPool:
+    def _ensure_process_pool(self) -> _prc.ProcessShardPool:
         pool = self._process_pool
         if pool is not None and pool.fault_generation != _flt.GENERATION:
             # arm()/disarm() happened after the workers forked; their
@@ -378,7 +381,7 @@ class ShardedFunctionIndex:
             self._invalidate_process_pool()
             pool = None
         if pool is None:
-            pool = ProcessShardPool(self, self._max_workers)
+            pool = _prc.ProcessShardPool(self, self._max_workers)
             self._process_pool = pool
         return pool
 
@@ -481,248 +484,134 @@ class ShardedFunctionIndex:
     # Fan-out machinery
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _shard_cost(result: object) -> dict[str, int]:
-        """Per-shard cost counters for span annotation (small scalars only).
-
-        Understands the three fan-out result shapes: ``QueryResult``,
-        ``TopKResult`` (adds the LBS ``lbs_checked`` counter), and a
-        batch's ``list[QueryResult]`` (summed by ``QueryStats.merge``, like
-        the merged answer's stats that the stitched-trace property test
-        reconciles these counters against).
-        """
-        if isinstance(result, list):
-            stats = QueryStats.merge(
-                [entry.stats for entry in result if entry.stats is not None]
-            )
-        else:
-            stats = getattr(result, "stats", None)
-        cost: dict[str, int] = {}
-        if stats is not None:
-            cost.update(
-                verified=stats.n_verified, ii=stats.ii_size, results=stats.n_results
-            )
-        n_checked = getattr(result, "n_checked", None)
-        if n_checked is not None:
-            cost["lbs_checked"] = int(n_checked)
-        return cost
-
     def _run_shard(
-        self, kind: str, shard: int, fn: Callable[[PlanarIndexCollection], _T]
-    ) -> _T:
-        """Execute one shard's slice of a query, with per-shard telemetry.
-
-        Span recording uses thread-local stacks, so emitting from pool
-        workers is safe; counters take one lock per increment.  The
-        ``shard.query`` fault site fires *before* the work, so injected
-        failures never leave partial shard state behind.  When a trace is
-        attached, the shard's work runs inside a ``shard.<kind>`` span
-        carrying the trace id and per-shard cost counters, so the inner
-        collection spans nest under it in the stitched tree.
-        """
-        if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design; a process-pool backend must re-arm faults per worker
-            _flt.check("shard.query", shard=shard, kind=kind)
-        if not _ort.active():
-            return fn(self._collections[shard])
-        ctx = _otr.current()
-        attrs: dict[str, object] = {"shard": shard}
-        if ctx is not None:
-            attrs["trace_id"] = ctx.trace_id
-        with _osp.span(f"shard.{kind}", **attrs) as shard_span:
-            try:
-                result = fn(self._collections[shard])
-            except BaseException as exc:  # repro: noqa(REP005) — span annotates the failure kind, then re-raises unchanged
-                shard_span.annotate(error=type(exc).__name__)
-                raise
-            shard_span.annotate(**self._shard_cost(result))
-        _om.shard_queries_total().inc(kind=kind, shard=str(shard))
-        return result
-
-    def _run_shard_traced(
         self,
-        ctx: _otr.TraceContext | None,
         kind: str,
         shard: int,
-        fn: Callable[[PlanarIndexCollection], _T],
-    ) -> _T:
-        """Worker-thread entry: restore the issuing query's trace context.
+        args: tuple,
+        fired: tuple = (),
+        ctx: _otr.TraceContext | None = None,
+    ) -> Any:
+        """Run one shard task on this thread, with per-shard telemetry.
 
-        ``ctx`` is captured on the submitting thread (``_otr.current()``)
-        and re-entered here so the worker inherits both the stitched span
-        tree (sampled traces) and the sampling mute (unsampled ones).
+        ``ctx`` is the issuing query's trace context, re-entered here so a
+        pool thread inherits the stitched span tree (sampled traces) or the
+        sampling mute (unsampled ones); ``None`` when the task runs inline.
+        The ``shard.query`` faults the wave ``fired`` act *before* the
+        work, so injected failures never leave partial shard state behind.
+        A sampled trace gets a ``shard.<kind>`` span with the trace id and
+        cost counters, so the collection spans nest under it.
         """
         with _otr.attach(ctx):
-            return self._run_shard(kind, shard, fn)
+            if fired:
+                _flt.act(fired, "shard.query", shard=shard, kind=kind)
+            collection = self._collections[shard]
+            if not _ort.active():
+                return _prc.run_shard_task(collection, kind, args)
+            trace = _otr.current()
+            attrs = {} if trace is None else {"trace_id": trace.trace_id}
+            result, _ = _prc.run_traced_shard_task(collection, kind, args, shard=shard, **attrs)
+            _om.shard_queries_total().inc(kind=kind, shard=str(shard))
+            return result
 
-    def _execute_wave(
+    def _wave(
         self,
         kind: str,
-        fn: Callable[[PlanarIndexCollection], _T],
+        args: tuple,
         shards: Sequence[int],
-        deadline: float | None,
+        timeout_s: float | None,
         fail_fast: bool,
-        timeout_s: float | None = None,
-    ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Run ``fn`` on ``shards``; collect per-shard results and failures.
+    ) -> tuple[dict[int, Any], dict[int, BaseException]]:
+        """Run the shard task ``(kind, args)`` on ``shards``; collect outcomes.
 
-        With a ``deadline`` (monotonic timestamp), each pending result is
-        awaited only for the remaining budget; misses become
-        :class:`QueryTimeoutError` and the stale future is cancelled.
-        Under ``fail_fast`` the first failure cancels every not-yet-started
-        future instead of leaking queued work.
+        The task runs inline when the layout has one shard and no
+        deadline, else on the forked worker pool (``backend="process"``)
+        or the thread pool.  ``shard.query`` faults are decided here, in
+        shard order, as the wave submits, and act where the shard runs, so
+        a seeded plan replays on every backend.  With faults disarmed and
+        obs off, a pool thread runs the bound collection method directly.
+
+        One loop collects every backend's futures.  With ``timeout_s``
+        each result is awaited only for the rest of the wave's budget;
+        misses become :class:`QueryTimeoutError` and the stale future is
+        cancelled.  Under ``fail_fast`` the first failure cancels every
+        not-yet-started future (and a disarmed inline shard's own
+        exception propagates unwrapped).  A broken process pool (worker
+        hard death) fails the affected shards and is discarded, so the
+        next fan-out forks a fresh one.
         """
-        results: dict[int, _T] = {}
+        results: dict[int, Any] = {}
         failures: dict[int, BaseException] = {}
-        if self._n_shards == 1 and deadline is None:
+        armed = _flt.ARMED
+        if self._n_shards == 1 and timeout_s is None:
+            fired = _flt.fire("shard.query", shard=0, kind=kind) if armed else ()
             try:
-                results[0] = self._run_shard(kind, 0, fn)
+                results[0] = self._run_shard(kind, 0, args, fired)
             except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
+                if fail_fast and not armed:
+                    raise
                 failures[0] = exc
             return results, failures
-        executor = self._ensure_executor()
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         ctx = _otr.current()
-        futures = {
-            shard: executor.submit(self._run_shard_traced, ctx, kind, shard, fn)
-            for shard in shards
-        }
-        for shard, future in futures.items():
-            if fail_fast and failures:
-                future.cancel()
-                continue
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            try:
-                results[shard] = future.result(timeout=remaining)
-            except _FutTimeout:
-                future.cancel()
-                failures[shard] = QueryTimeoutError(
-                    f"shard {shard} missed the "
-                    f"{timeout_s if timeout_s is not None else self._query_timeout_s}s "
-                    f"deadline during {kind} fan-out",
-                    shard=shard,
-                    kind=kind,
+        pool = None
+        if self._backend == "process" and self._n_shards > 1:
+            pool = self._ensure_process_pool()
+            sampled = bool(ctx is not None and ctx.sampled and _ort.ENABLED)
+            trace_id = ctx.trace_id if sampled and ctx is not None else None
+        else:
+            executor = self._ensure_executor()
+            direct = not armed and not _ort.ENABLED
+        futures = {}
+        for shard in shards:
+            fired = _flt.fire("shard.query", shard=shard, kind=kind) if armed else ()
+            if pool is not None:
+                futures[shard] = pool.submit(shard, kind, args, fired, trace_id, sampled)
+            elif direct:
+                method = getattr(self._collections[shard], _prc.SHARD_METHODS[kind])
+                futures[shard] = executor.submit(method, *args)
+            else:
+                futures[shard] = executor.submit(
+                    self._run_shard, kind, shard, args, fired, ctx
                 )
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                failures[shard] = exc
-        return results, failures
-
-    def _execute_process_wave(
-        self,
-        kind: str,
-        task: tuple,
-        shards: Sequence[int],
-        deadline: float | None,
-        fail_fast: bool,
-        timeout_s: float | None = None,
-    ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Run a task descriptor on ``shards`` via forked worker processes.
-
-        Mirrors :meth:`_execute_wave` semantics — per-shard deadline
-        budgets, ``fail_fast`` cancellation of queued work — over the
-        process backend.  Workers return ``(result, span, metrics)``;
-        sampled traces get the worker's ``shard.<kind>`` span tree
-        grafted under the query root here, on the issuing thread, and the
-        worker's counter/histogram deltas folded into the parent registry
-        — so stitched traces and per-query series look identical across
-        backends.  Faults that *fired* in a worker and surfaced as
-        :class:`InjectedFaultError` are re-counted here (the worker-side
-        increment died with its registry copy).  A broken pool (worker
-        hard death) fails the affected shards and discards the pool so
-        the next fan-out forks a fresh one.
-        """
-        results: dict[int, _T] = {}
-        failures: dict[int, BaseException] = {}
-        pool = self._ensure_process_pool()
-        ctx = _otr.current()
-        sampled = bool(ctx is not None and ctx.sampled and _ort.ENABLED)
-        trace_id = ctx.trace_id if sampled and ctx is not None else None
-        graft = ctx.root if sampled and ctx is not None else None
-        futures = {
-            shard: pool.submit(shard, kind, task, trace_id, sampled)
-            for shard in shards
-        }
-        obs_on = _ort.active()
         broken = False
         for shard, future in futures.items():
             if fail_fast and failures:
                 future.cancel()
                 continue
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                result, span, metrics = future.result(timeout=remaining)
+                result = future.result(timeout=remaining)
             except _FutTimeout:
                 future.cancel()
                 failures[shard] = QueryTimeoutError(
-                    f"shard {shard} missed the "
-                    f"{timeout_s if timeout_s is not None else self._query_timeout_s}s "
-                    f"deadline during {kind} fan-out",
+                    f"shard {shard} missed the {timeout_s}s deadline during {kind} fan-out",
                     shard=shard,
                     kind=kind,
                 )
                 continue
             except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
                 failures[shard] = exc
-                if isinstance(exc, BrokenProcessPool):
-                    broken = True
-                elif _ort.ENABLED and isinstance(exc, InjectedFaultError) and exc.site:
-                    # The worker counted the fire into its own registry
-                    # copy and then died with it; mirror the thread
-                    # backend by counting it here.
-                    _om.faults_injected_total().inc(site=exc.site, kind="error")
+                broken = broken or isinstance(exc, BrokenProcessPool)
+                if pool is not None and _ort.ENABLED and isinstance(exc, InjectedFaultError):
+                    # A deeper site (store.get_features) fired in the worker and
+                    # was counted into its registry copy, which died with the task.
+                    if exc.site not in (None, "shard.query"):
+                        _om.faults_injected_total().inc(site=exc.site, kind="error")
                 continue
+            if pool is not None:
+                # Graft the worker's span tree under the query root and fold
+                # its metric deltas into this registry, as threads would.
+                result, span, metrics = result
+                if span is not None and ctx is not None and ctx.root is not None:
+                    ctx.root.children.append(span)
+                if metrics is not None:
+                    _om.registry().restore(metrics)
+                if _ort.active():
+                    _om.shard_queries_total().inc(kind=kind, shard=str(shard))
             results[shard] = result
-            if span is not None and graft is not None:
-                span.attrs.update(self._shard_cost(result))
-                graft.children.append(span)
-            if metrics is not None:
-                _om.registry().restore(metrics)
-            if obs_on:
-                _om.shard_queries_total().inc(kind=kind, shard=str(shard))
         if broken:
             self._invalidate_process_pool()
-        return results, failures
-
-    def _gather_fast(
-        self,
-        kind: str,
-        fn: Callable[[PlanarIndexCollection], _T],
-        policy: FailurePolicy,
-    ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Minimal-overhead fan-out for the disarmed/no-deadline case.
-
-        Submits ``fn`` against each collection directly — no
-        :meth:`_run_shard` wrapper frame, no per-future deadline math, no
-        fault-site or telemetry probes (the caller checked those are all
-        off).  Failure handling matches :meth:`_execute_wave`: under
-        ``RAISE`` the first failure cancels the not-yet-started futures
-        and propagates with shard identity; degrading policies collect
-        every shard's outcome for the retry/recovery machinery.
-        """
-        results: dict[int, _T] = {}
-        failures: dict[int, BaseException] = {}
-        collections = self._collections
-        if self._n_shards == 1:
-            try:
-                results[0] = fn(collections[0])
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                if policy is FailurePolicy.RAISE:
-                    raise self._wrap_failure(kind, 0, exc) from exc
-                failures[0] = exc
-            return results, failures
-        executor = self._ensure_executor()
-        futures = [executor.submit(fn, collection) for collection in collections]
-        for shard, future in enumerate(futures):
-            try:
-                results[shard] = future.result()
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                if policy is FailurePolicy.RAISE:
-                    for pending in futures[shard + 1 :]:
-                        pending.cancel()
-                    raise self._wrap_failure(kind, shard, exc) from exc
-                failures[shard] = exc
         return results, failures
 
     def _wrap_failure(
@@ -776,24 +665,19 @@ class ShardedFunctionIndex:
     def _map_shards(
         self,
         kind: str,
-        fn: Callable[[PlanarIndexCollection], _T],
-        recover: Callable[[int], _T] | None = None,
-        task: tuple | None = None,
+        args: tuple,
+        recover: Callable[[int], Any] | None = None,
         timeout_s: float | None = None,
-    ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``fn`` against every shard under the failure policy.
+    ) -> tuple[list[Any], DegradedInfo | None]:
+        """Run the shard task ``(kind, args)`` on every shard under the policy.
 
+        ``kind`` names the :class:`PlanarIndexCollection` method (see
+        :data:`~repro.parallel.process.SHARD_METHODS`) and ``args`` its
+        arguments; :meth:`_wave` runs the first wave and every retry.
         ``timeout_s`` overrides the engine's construction-time
         ``query_timeout_s`` for this one fan-out — the serving layer
         passes a request's remaining deadline budget here so the engine
         wave honors the end-to-end contract instead of a static knob.
-
-        ``task`` is the fan-out's picklable descriptor for the process
-        backend (see :mod:`repro.parallel.process`); when the engine was
-        built with ``backend="process"`` and the layout is actually
-        sharded, the wave executes on forked workers instead of ``fn`` on
-        threads — same answers, same failure handling.  Fan-outs without
-        a descriptor (maintenance) always run in the parent.
 
         Returns ``(results, degraded)`` where ``results[shard]`` is the
         shard's slice (or ``None`` for an unrecovered shard under a
@@ -807,44 +691,10 @@ class ShardedFunctionIndex:
         timeout = self._query_timeout_s if timeout_s is None else float(timeout_s)
         if timeout is not None and not timeout > 0:
             raise ValueError(f"timeout_s must be positive, got {timeout}")
-        use_process = (
-            task is not None and self._backend == "process" and self._n_shards > 1
-        )
-        if (
-            self._n_shards == 1
-            and timeout is None
-            and policy is FailurePolicy.RAISE
-            and not _flt.ARMED
-        ):
-            # Hot path: monolithic layout, no reliability features active.
-            return [self._run_shard(kind, 0, fn)], None
         shards = list(range(self._n_shards))
-        if use_process:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            results, failures = self._execute_process_wave(
-                kind,
-                task,
-                shards,
-                deadline,
-                fail_fast=policy is FailurePolicy.RAISE,
-                timeout_s=timeout,
-            )
-        elif timeout is None and not _flt.ARMED and not _ort.ENABLED:
-            # Disarmed fast path: no deadlines to track, no fault sites to
-            # probe, no telemetry to stamp — submit the shard work directly
-            # (skipping the `_run_shard` wrapper frame) and only pay for
-            # failure bookkeeping when something actually fails.
-            results, failures = self._gather_fast(kind, fn, policy)
-        else:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            results, failures = self._execute_wave(
-                kind,
-                fn,
-                shards,
-                deadline,
-                fail_fast=policy is FailurePolicy.RAISE,
-                timeout_s=timeout,
-            )
+        results, failures = self._wave(
+            kind, args, shards, timeout, fail_fast=policy is FailurePolicy.RAISE
+        )
         if not failures:
             return [results[shard] for shard in shards], None
         first_shard = min(failures)
@@ -860,27 +710,9 @@ class ShardedFunctionIndex:
                 retry_shards = sorted(failures)
                 started = time.perf_counter()
                 self._backoff(attempt)
-                wave_deadline = (
-                    None if timeout is None else time.monotonic() + timeout
+                recovered_wave, failures = self._wave(
+                    kind, args, retry_shards, timeout, fail_fast=False
                 )
-                if use_process:
-                    recovered_wave, failures = self._execute_process_wave(
-                        kind,
-                        task,
-                        retry_shards,
-                        wave_deadline,
-                        fail_fast=False,
-                        timeout_s=timeout,
-                    )
-                else:
-                    recovered_wave, failures = self._execute_wave(
-                        kind,
-                        fn,
-                        retry_shards,
-                        wave_deadline,
-                        fail_fast=False,
-                        timeout_s=timeout,
-                    )
                 retries += len(retry_shards)
                 results.update(recovered_wave)
                 retry_recovered.extend(recovered_wave)
@@ -904,7 +736,7 @@ class ShardedFunctionIndex:
                         started,
                         shard=shard,
                         kind=kind,
-                        **self._shard_cost(results[shard]),
+                        **_prc.shard_cost(results[shard]),
                     )
             except Exception:  # repro: noqa(REP005) — recovery is best-effort; failures are accounted, not raised
                 failed.append(shard)
@@ -983,9 +815,8 @@ class ShardedFunctionIndex:
             return octant_fallback("inequality", self._features, spq)
         results, degraded = self._map_shards(
             "inequality",
-            lambda collection: collection.query(spq),
+            (spq,),
             recover=lambda shard: scan_reference(self._stores[shard], [spq])[0],
-            task=("inequality", spq),
         )
         return self._merge_inequality(results, degraded)
 
@@ -1031,19 +862,14 @@ class ShardedFunctionIndex:
             subset = [queries[position] for position in plannable]
             per_shard, degraded = self._map_shards(
                 "batch",
-                lambda collection: collection.query_batch(subset),
+                (subset,),
                 recover=lambda shard: scan_reference(self._stores[shard], subset),
-                task=("batch", subset),
                 timeout_s=timeout_s,
             )
-            for slot, position in enumerate(plannable):
-                answers[position] = self._merge_inequality(
-                    [
-                        shard_results[slot] if shard_results is not None else None
-                        for shard_results in per_shard
-                    ],
-                    degraded,
-                )
+            lost = [None] * len(subset)  # an unrecovered shard's slices
+            per_query = zip(*(lost if part is None else part for part in per_shard))
+            for position, slices in zip(plannable, per_query):
+                answers[position] = self._merge_inequality(slices, degraded)
         return answers
 
     @_otr.traced("range")
@@ -1068,11 +894,10 @@ class ShardedFunctionIndex:
             return octant_fallback("range", self._features, (low_q, high_q))
         results, degraded = self._map_shards(
             "range",
-            lambda collection: collection.query_range(wq_low, wq_high),
+            (wq_low, wq_high),
             recover=lambda shard: scan_reference(
                 self._stores[shard], [(low_q, high_q)]
             )[0],
-            task=("range", low_q, high_q),
         )
         return self._merge_inequality(results, degraded)
 
@@ -1108,14 +933,12 @@ class ShardedFunctionIndex:
                 raise
             return octant_fallback("topk", self._features, spq, k)
         # SharedCutoff publishes cross-shard pruning bounds between threads;
-        # the process backend runs per-shard cutoffs instead (the worker
-        # passes cutoff=None) — still exact, see repro.parallel.process.
-        cutoff = SharedCutoff()
+        # a process worker receives a fresh private bound instead — still
+        # exact, see repro.parallel.process.
         results, degraded = self._map_shards(
             "topk",
-            lambda collection: collection.topk(spq, k, cutoff=cutoff),
+            (spq, k, SharedCutoff()),
             recover=lambda shard: scan_reference(self._stores[shard], [spq], k)[0],
-            task=("topk", spq, k),
         )
         return self._merge_topk(results, k, degraded)
 
@@ -1164,17 +987,14 @@ class ShardedFunctionIndex:
             subset = [queries[position] for position in plannable]
             per_shard, degraded = self._map_shards(
                 "batch_topk",
-                lambda collection: collection.topk_batch(subset, k),
+                (subset, k),
                 recover=lambda shard: scan_reference(self._stores[shard], subset, k),
-                task=("batch_topk", subset, k),
                 timeout_s=timeout_s,
             )
-            for slot, position in enumerate(plannable):
-                shard_slices = [
-                    shard_results[slot] if shard_results is not None else None
-                    for shard_results in per_shard
-                ]
-                results[position] = self._merge_topk(shard_slices, k, degraded)
+            lost = [None] * len(subset)  # an unrecovered shard's slices
+            per_query = zip(*(lost if part is None else part for part in per_shard))
+            for position, slices in zip(plannable, per_query):
+                results[position] = self._merge_topk(slices, k, degraded)
         return results
 
     def _merge_topk(

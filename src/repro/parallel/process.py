@@ -25,14 +25,19 @@ Because workers snapshot the engine at fork time, every mutation
 query forks fresh workers that see the current state.  Maintenance
 fan-outs themselves always run in the parent.
 
-Semantics carried over from the thread backend:
+One wave, one task form: inline, on a pool thread or here in a worker,
+a shard runs the same *shard task* ``(kind, args)`` — :data:`SHARD_METHODS`
+names the :class:`~repro.core.collection.PlanarIndexCollection` method
+that :func:`run_shard_task` calls with ``args``.  Semantics carried over
+from the thread backend:
 
-* the ``shard.query`` fault site fires *inside the worker* (the armed
-  plan is inherited through the fork; firing counters advance per
-  worker process).  Arming or disarming *after* the fork bumps the
-  fault-plan generation, which the owning engine checks before every
-  fan-out — a stale pool is discarded and reforked, so ``injected()``
-  context managers behave exactly as under the thread backend;
+* ``shard.query`` faults are decided in the parent, in shard order, as
+  the wave submits, so a seeded plan replays whichever worker runs which
+  shard; the worker acts on the fired rules (a stall sleeps here, an
+  error raises here).  Deeper sites (``store.get_features``) still fire
+  in the worker against the fork-inherited plan, so arming or disarming
+  after the fork bumps the fault-plan generation, which the engine
+  checks before every fan-out — a stale pool is discarded and reforked;
 * worker failures — including injected faults and deadline misses —
   pickle back to the parent, where the retry / degrade / raise policy
   machinery handles them exactly as for thread failures;
@@ -43,11 +48,10 @@ Semantics carried over from the thread backend:
 * unsampled traces mute worker-side telemetry for the duration of the
   task.
 
-The one intentional difference: shared top-k cutoffs
-(:class:`~repro.core.topk.SharedCutoff`) are thread-only, so process
-top-k fan-outs run Algorithm 2 with per-shard cutoffs.  The merged
-answer is unchanged (each shard still returns its exact local top-k);
-only cross-shard pruning is forgone.
+A top-k task's :class:`~repro.core.topk.SharedCutoff` pickles as a fresh
+bound private to the receiving shard, so process top-k fan-outs prune
+with per-shard cutoffs.  The merged answer and each shard's ``n_checked``
+equal a ``cutoff=None`` run; only cross-shard pruning is forgone.
 """
 
 from __future__ import annotations
@@ -57,13 +61,21 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Optional
 
-from ..core.planar import WorkingQuery
+from ..core.collection import PlanarIndexCollection
+from ..core.stats import QueryStats
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
 from ..obs import spans as _osp
 from ..reliability import faults as _flt
 
-__all__ = ["ProcessShardPool", "fork_available"]
+__all__ = [
+    "ProcessShardPool",
+    "SHARD_METHODS",
+    "fork_available",
+    "run_shard_task",
+    "run_traced_shard_task",
+    "shard_cost",
+]
 
 # "ShardedFunctionIndex" annotations below stay string-valued on purpose:
 # importing repro.parallel.engine here would close an import cycle
@@ -99,46 +111,77 @@ def _register(engine: "ShardedFunctionIndex") -> int:
     return token
 
 
-def _unregister(token: int) -> None:
-    _ENGINES.pop(token, None)  # repro: noqa(REP012) — parent-side cleanup; workers hold their own COW copy
+#: Shard-task kind -> the :class:`PlanarIndexCollection` method that runs it.
+SHARD_METHODS = {
+    "inequality": "query",
+    "batch": "query_batch",
+    "range": "query_range",
+    "topk": "topk",
+    "batch_topk": "topk_batch",
+}
 
 
-def _apply(engine: "ShardedFunctionIndex", shard: int, task: tuple) -> Any:
-    """Execute one task descriptor against the worker's shard collection.
+def run_shard_task(collection: PlanarIndexCollection, kind: str, args: tuple) -> Any:
+    """Run one shard task ``(kind, args)`` against ``collection``."""
+    return getattr(collection, SHARD_METHODS[kind])(*args)
 
-    Descriptors carry only query *parameters*; anything derived from
-    engine state (working queries, octant translation) is rebuilt here
-    against the worker's forked snapshot, which matches the parent's
-    state because mutations invalidate the pool.
+
+def run_traced_shard_task(
+    collection: PlanarIndexCollection, kind: str, args: tuple, **attrs: Any
+) -> tuple[Any, _osp.SpanRecord]:
+    """Run one shard task inside a ``shard.<kind>`` span carrying ``attrs``.
+
+    The span opens on this thread's stack (under the query root a pool
+    thread adopted, or as a worker's own root) and ends annotated with
+    the shard's cost counters, or with the failure kind before the error
+    propagates unchanged.
     """
-    collection = engine._collections[shard]
-    kind = task[0]
-    if kind == "inequality":
-        return collection.query(task[1])
-    if kind == "batch":
-        return collection.query_batch(task[1])
-    if kind == "range":
-        wq_low = WorkingQuery.build(task[1], engine._translator)
-        wq_high = WorkingQuery.build(task[2], engine._translator)
-        return collection.query_range(wq_low, wq_high)
-    if kind == "topk":
-        # SharedCutoff is thread-local machinery; per-shard cutoffs are
-        # still exact (merely less cross-shard pruning).
-        return collection.topk(task[1], task[2], cutoff=None)
-    if kind == "batch_topk":
-        return collection.topk_batch(task[1], task[2])
-    raise ValueError(f"unknown process task kind {kind!r}")
+    span = _osp.open_span(f"shard.{kind}", **attrs)
+    try:
+        result = run_shard_task(collection, kind, args)
+    except BaseException as exc:  # repro: noqa(REP005) — span annotates the failure kind, then re-raises unchanged
+        span.attrs["error"] = type(exc).__name__
+        raise
+    finally:
+        _osp.close_span(span)
+    span.attrs.update(shard_cost(result))
+    return result, span
+
+
+def shard_cost(result: Any) -> dict[str, int]:
+    """Per-shard cost counters for span annotation (small scalars only).
+
+    Understands the three fan-out result shapes: ``QueryResult``,
+    ``TopKResult`` (adds the LBS ``lbs_checked`` counter), and a batch's
+    list of either (stats summed by ``QueryStats.merge``, like the merged
+    answer's stats that the stitched-trace property test reconciles these
+    counters against).
+    """
+    if isinstance(result, list):
+        stats = QueryStats.merge(
+            [entry.stats for entry in result if entry.stats is not None]
+        )
+    else:
+        stats = getattr(result, "stats", None)
+    cost: dict[str, int] = {}
+    if stats is not None:
+        cost.update(verified=stats.n_verified, ii=stats.ii_size, results=stats.n_results)
+    n_checked = getattr(result, "n_checked", None)
+    if n_checked is not None:
+        cost["lbs_checked"] = int(n_checked)
+    return cost
 
 
 def _run_task(
     token: int,
     shard: int,
     kind: str,
-    task: tuple,
+    args: tuple,
+    fired: tuple,
     trace_id: Optional[str],
     sampled: bool,
 ) -> tuple:
-    """Worker entry: one shard's slice of one query fan-out.
+    """Worker entry: act on the parent's fired faults, then run the task.
 
     Returns ``(result, span, metrics)``.  For sampled traces ``span`` is
     the shard's completed :class:`~repro.obs.spans.SpanRecord` tree (the
@@ -152,8 +195,8 @@ def _run_task(
     engine = _ENGINES.get(token)
     if engine is None:  # pragma: no cover - defensive: pool outlived registration
         raise RuntimeError(f"no engine registered under token {token} in worker")
-    if _flt.ARMED:  # repro: noqa(REP012) — per-worker divergence is the point: the armed plan is fork-inherited and counters advance per process
-        _flt.check("shard.query", shard=shard, kind=kind)
+    collection = engine._collections[shard]
+    _flt.act(fired, "shard.query", shard=shard, kind=kind)
     if not (sampled and _ort.ENABLED):  # repro: noqa(REP012) — fork-inherited obs arming; the parent decides sampling and passes it in
         if _ort.ENABLED:
             # Unsampled trace: silence the collection's per-query
@@ -161,7 +204,7 @@ def _run_task(
             # attach()-mute.
             _ort.mute()
         try:
-            return _apply(engine, shard, task), None, None
+            return run_shard_task(collection, kind, args), None, None
         finally:
             if _ort.ENABLED:
                 _ort.unmute()
@@ -172,14 +215,7 @@ def _run_task(
     attrs: dict[str, Any] = {"shard": shard, "backend": "process"}
     if trace_id is not None:
         attrs["trace_id"] = trace_id
-    root = _osp.open_span(f"shard.{kind}", **attrs)
-    try:
-        result = _apply(engine, shard, task)
-    except BaseException as exc:  # repro: noqa(REP005) — span annotates the failure kind, then re-raises unchanged
-        root.attrs["error"] = type(exc).__name__
-        _osp.close_span(root)
-        raise
-    _osp.close_span(root)
+    result, root = run_traced_shard_task(collection, kind, args, **attrs)
     metrics = _om.registry().snapshot()
     # Gauges describe *current parent state* (index sizes, shard points);
     # a worker's fork-time view must not overwrite them on restore.
@@ -201,11 +237,6 @@ class ProcessShardPool:
     """
 
     def __init__(self, engine: "ShardedFunctionIndex", max_workers: int) -> None:
-        if not fork_available():
-            raise ValueError(
-                "backend='process' requires the fork start method, which this "
-                "platform does not provide; use backend='thread'"
-            )
         self._token = _register(engine)
         # Workers inherit the fault plan armed at fork time; the owning
         # engine compares this against the live generation and discards
@@ -220,7 +251,8 @@ class ProcessShardPool:
         self,
         shard: int,
         kind: str,
-        task: tuple,
+        args: tuple,
+        fired: tuple,
         trace_id: Optional[str],
         sampled: bool,
     ) -> Future:
@@ -228,7 +260,9 @@ class ProcessShardPool:
         executor = self._executor
         if executor is None:  # pragma: no cover - defensive: submit after shutdown
             raise RuntimeError("process shard pool is shut down")
-        return executor.submit(_run_task, self._token, shard, kind, task, trace_id, sampled)
+        return executor.submit(
+            _run_task, self._token, shard, kind, args, fired, trace_id, sampled
+        )
 
     def shutdown(self) -> None:
         """Tear the pool down and drop the worker-visible registration.
@@ -241,4 +275,4 @@ class ProcessShardPool:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
-        _unregister(self._token)
+        _ENGINES.pop(self._token, None)  # repro: noqa(REP012) — parent-side cleanup; workers hold their own COW copy

@@ -70,6 +70,8 @@ __all__ = [
     "active_plan",
     "injected",
     "check",
+    "fire",
+    "act",
     "torn_fraction",
 ]
 
@@ -220,12 +222,13 @@ class FaultPlan:
         self._rules = tuple(rules)
         self._seed = int(seed)
         self._lock = threading.Lock()
-        self._state = [
+        self._state = self._fresh_state()
+
+    def _fresh_state(self) -> list[_RuleState]:
+        return [
             _RuleState(
                 random.Random(
-                    rule.seed
-                    if rule.seed is not None
-                    else (self._seed << 16) ^ (index + 1)
+                    rule.seed if rule.seed is not None else (self._seed << 16) ^ (index + 1)
                 )
             )
             for index, rule in enumerate(self._rules)
@@ -258,14 +261,7 @@ class FaultPlan:
     def reset(self) -> None:
         """Rewind every rule's counters and RNG to the armed-fresh state."""
         with self._lock:
-            for index, rule in enumerate(self._rules):
-                self._state[index] = _RuleState(
-                    random.Random(
-                        rule.seed
-                        if rule.seed is not None
-                        else (self._seed << 16) ^ (index + 1)
-                    )
-                )
+            self._state = self._fresh_state()
 
     def stats(self) -> list[dict[str, object]]:
         """Per-rule check/fire counters (the chaos CLI's survival report)."""
@@ -304,38 +300,37 @@ class FaultPlan:
             state.fires += 1
             return True
 
-    def check(self, site: str, attrs: Mapping[str, object]) -> None:
-        """Evaluate ``error``/``stall`` rules for a check at ``site``.
+    def fire(
+        self, site: str, attrs: Mapping[str, object], torn: bool = False
+    ) -> tuple[FaultRule, ...]:
+        """Decide which rules fire for a check at ``site`` and count them.
 
-        Raises :class:`InjectedFaultError` when an ``error`` rule fires;
-        sleeps when a ``stall`` rule fires (then keeps evaluating, so a
-        stall can precede an error).  ``torn`` rules are consulted only
-        by :meth:`torn_fraction`.
+        Considers the ``error``/``stall`` rules, or with ``torn`` only the
+        ``torn`` ones.  Evaluation stops at the first fire that is not a
+        stall, as an error's raise would.  :func:`act` then carries the
+        fired rules out, possibly elsewhere: the sharded engine decides in
+        the parent, in shard order, and acts where the shard runs.
         """
+        fired = []
         for index, rule in enumerate(self._rules):
-            if rule.kind == "torn" or not rule.matches(site, attrs):
+            if (rule.kind == "torn") != torn or not rule.matches(site, attrs):
                 continue
             if not self._should_fire(index, rule):
                 continue
             _record_fire(site, rule.kind)
-            if rule.kind == "stall":
-                time.sleep(rule.ms / 1000.0)
-                continue
-            detail = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-            raise InjectedFaultError(
-                f"injected fault at {site}" + (f" ({detail})" if detail else ""),
-                site=site,
-            )
+            fired.append(rule)
+            if rule.kind != "stall":
+                break
+        return tuple(fired)
+
+    def check(self, site: str, attrs: Mapping[str, object]) -> None:
+        """:meth:`fire` then :func:`act`: sleep on stalls, raise on an error."""
+        act(self.fire(site, attrs), site, **attrs)
 
     def torn_fraction(self, site: str, attrs: Mapping[str, object]) -> float | None:
         """Byte fraction of the next write to keep, or None for intact."""
-        for index, rule in enumerate(self._rules):
-            if rule.kind != "torn" or not rule.matches(site, attrs):
-                continue
-            if self._should_fire(index, rule):
-                _record_fire(site, rule.kind)
-                return rule.frac
-        return None
+        fired = self.fire(site, attrs, torn=True)
+        return fired[0].frac if fired else None
 
 
 # --------------------------------------------------------------------- #
@@ -401,9 +396,27 @@ def check(site: str, **attrs: object) -> None:
     path costs one attribute read; the re-check here makes direct calls
     safe too.
     """
-    plan = _PLAN  # repro: noqa(REP012) — worker threads share the armed plan; process pools must arm via REPRO_FAULTS
-    if plan is not None:
-        plan.check(site, attrs)
+    act(fire(site, **attrs), site, **attrs)
+
+
+def fire(site: str, **attrs: object) -> tuple[FaultRule, ...]:
+    """Decide and count the armed plan's fires at ``site`` (``()`` disarmed)."""
+    plan = _PLAN  # repro: noqa(REP012) — worker threads share the armed plan; a forked worker checks its fork-time copy
+    return () if plan is None else plan.fire(site, attrs)
+
+
+def act(fired: Sequence[FaultRule], site: str, **attrs: object) -> None:
+    """Carry out rules :func:`fire` decided: sleep each ``stall``, then raise
+    :class:`InjectedFaultError` for an ``error``."""
+    for rule in fired:
+        if rule.kind == "stall":
+            time.sleep(rule.ms / 1000.0)
+            continue
+        detail = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+        raise InjectedFaultError(
+            f"injected fault at {site}" + (f" ({detail})" if detail else ""),
+            site=site,
+        )
 
 
 def torn_fraction(site: str, **attrs: object) -> float | None:

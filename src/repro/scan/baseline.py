@@ -91,14 +91,20 @@ class SequentialScan:
         mask = query.op.evaluate(values, query.offset)
         ids = self._ids[mask]
         distances = np.abs(values[mask] - query.offset) / np.linalg.norm(query.normal)
+        chosen = np.arange(ids.size)
         if ids.size > k:
-            # argpartition gets the k smallest in O(n); ties broken by id via
-            # a stable lexicographic sort of the selected slice.
-            part = np.argpartition(distances, k - 1)[:k]
-            order = np.lexsort((ids[part], distances[part]))
-            chosen = part[order]
-        else:
-            chosen = np.lexsort((ids, distances))
+            # O(n): partition for the k-th distance, keep every point
+            # strictly inside it, and fill the remaining places with the
+            # smallest ids among the points tied at it.
+            kth = np.partition(distances, k - 1)[k - 1]
+            inside = np.flatnonzero(distances < kth)
+            tied = np.flatnonzero(distances == kth)
+            fill = k - inside.size
+            if fill < tied.size:
+                tied = tied[np.argpartition(ids[tied], fill - 1)[:fill]]
+            chosen = np.concatenate([inside, tied])
+        # Ties broken by id, like every indexed top-k path.
+        chosen = chosen[np.lexsort((ids[chosen], distances[chosen]))]
         if obs_on:
             _osp.record("baseline.topk", started, n=len(self), k=k)
             _om.queries_total().inc(kind="scan_topk", route="baseline", strategy="none")

@@ -31,7 +31,9 @@ whole asyncio stack on a daemon thread and returns a
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import math
+import socket
 import threading
 import time
 from typing import Any, Optional, Tuple
@@ -71,6 +73,20 @@ _OPS = ("<=", "<", ">=", ">")
 
 #: Request header carrying the end-to-end deadline budget, milliseconds.
 DEADLINE_HEADER = "x-repro-deadline-ms"
+
+
+def _hang_up(writer: asyncio.StreamWriter) -> None:
+    """Close one client connection so the client reads EOF.
+
+    ``close()`` alone sends no FIN while a forked process-shard worker
+    holds a copy of the socket, so an empty-buffered socket (no response
+    left to cut short) is shut down first.
+    """
+    sock = writer.get_extra_info("socket")
+    if sock is not None and not writer.transport.get_write_buffer_size():
+        with contextlib.suppress(OSError):
+            sock.shutdown(socket.SHUT_RDWR)
+    writer.close()
 
 
 class QueryService:
@@ -167,7 +183,7 @@ class QueryService:
         await self._batcher.stop(self._config.drain_timeout_s)
         self._phase = "stopped"
         for writer in list(self._idle):
-            writer.close()
+            _hang_up(writer)
         if self._connections:
             await asyncio.wait(
                 list(self._connections), timeout=self._config.drain_timeout_s
@@ -223,7 +239,12 @@ class QueryService:
             return  # client went away mid-request; nothing to answer
         finally:
             self._idle.discard(writer)
-            writer.close()
+            with contextlib.suppress(ConnectionError, OSError):
+                # Flush the whole response, not just below the high-water
+                # mark, so the hang-up below never cuts it short.
+                writer.transport.set_write_buffer_limits(high=0)
+                await writer.drain()
+            _hang_up(writer)
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - platform-dependent teardown

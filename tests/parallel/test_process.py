@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FunctionIndex, QueryModel, ShardedFunctionIndex
+from repro import FunctionIndex, QueryModel, ScalarProductQuery, ShardedFunctionIndex
 from repro.exceptions import ShardFailureError
 from repro.parallel.process import fork_available
 from repro.reliability import faults as _flt
@@ -98,6 +98,7 @@ class TestBitIdentity:
             a = thread.query_range(normal, offset * 0.5, offset)
             b = process.query_range(normal, offset * 0.5, offset)
             assert np.array_equal(a.ids, b.ids)
+            assert a.stats == b.stats
 
     def test_topk_matches_thread_backend(self, engines):
         points, thread, process = engines
@@ -107,6 +108,25 @@ class TestBitIdentity:
             b = process.topk(normal, offset, 12)
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.distances, b.distances)
+            # A worker's cutoff is a fresh private bound, which prunes
+            # exactly as no cutoff at all.
+            spq = ScalarProductQuery(normal, offset)
+            assert b.n_checked == sum(
+                collection.topk(spq, 12).n_checked
+                for collection in process.collections
+            )
+
+    def test_topk_batch_matches_thread_backend(self, engines):
+        points, thread, process = engines
+        normals, offsets = _queries(points)
+        for a, b in zip(
+            thread.topk_batch(normals, offsets, 12),
+            process.topk_batch(normals, offsets, 12),
+        ):
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.distances, b.distances)
+            assert a.stats == b.stats
+            assert a.n_checked == b.n_checked
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -58,6 +58,25 @@ class TestTopK:
         result = scan.topk(ScalarProductQuery(np.array([1.0]), 3.0), 2)
         assert np.array_equal(result.ids, [0, 1])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ties_at_kth_place_keep_smallest_ids(self, seed):
+        """Many points tie at the k-th distance: the scan keeps every point
+        strictly inside it plus the smallest-id tied points, in scrambled
+        id order too."""
+        rng = np.random.default_rng(seed)
+        n = 400
+        features = rng.integers(0, 6, size=(n, 2)).astype(np.float64)
+        ids = rng.permutation(n).astype(np.int64) * 3 + 5
+        query = ScalarProductQuery(np.array([1.0, 1.0]), 9.0)
+        k = int(rng.integers(1, 120))
+        result = SequentialScan(features, ids).topk(query, k)
+        values = features @ query.normal
+        keep = values <= query.offset
+        distances = np.abs(values[keep] - query.offset) / np.sqrt(2.0)
+        order = np.lexsort((ids[keep], distances))[:k]
+        assert np.array_equal(result.ids, ids[keep][order])
+        assert np.array_equal(result.distances, distances[order])
+
     def test_invalid_k(self, scan):
         with pytest.raises(InvalidQueryError):
             scan.topk(ScalarProductQuery(np.ones(3), 10.0), -1)

@@ -15,6 +15,7 @@ from http.client import HTTPConnection
 
 import pytest
 
+from repro.parallel.process import fork_available
 from repro.reliability import faults as _flt
 from repro.serve import ServiceConfig, serve_in_thread
 
@@ -245,14 +246,17 @@ class TestHealthLifecycle:
             engine.close()
         assert handle.service.stats()["phase"] == "stopped"
 
-    def test_stop_closes_idle_keep_alive_connections_cleanly(self, caplog, capfd):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_stop_closes_idle_keep_alive_connections_cleanly(
+        self, caplog, capfd, backend
+    ):
         """Stopping while a kept-alive client connection sits idle closes
         it from the server side: the client reads EOF, asyncio logs no
-        error, and nothing prints a traceback."""
-        # Thread backend: forked process-shard workers inherit the client
-        # socket and keep it open after the server closes it (a known
-        # defect, see ROADMAP.md item 1).
-        engine, points = build_engine(n=200, dim=3, seed=42, backend="thread")
+        error, and nothing prints a traceback — also when forked
+        process-shard workers hold copies of the client socket."""
+        if backend == "process" and not fork_available():
+            pytest.skip("process backend requires the fork start method")
+        engine, points = build_engine(n=200, dim=3, seed=42, backend=backend)
         normals, offsets = integer_queries(points, m=1, seed=43)
         handle = serve_in_thread(engine, ServiceConfig(batch_window_s=0.0))
         conn = HTTPConnection(handle.host, handle.port, timeout=30)
@@ -267,6 +271,7 @@ class TestHealthLifecycle:
                 response.read()
                 assert response.status == 200
                 handle.stop()
+            conn.sock.settimeout(3)
             assert conn.sock.recv(1) == b""
         finally:
             conn.close()
