@@ -10,9 +10,9 @@ Two claims are measured (acceptance criteria of the sharded engine):
   200k points.
 * **Overhead** — the 1-shard engine configuration executes inline over
   the monolithic collection layout; it must stay within 10% of the plain
-  :class:`~repro.core.function_index.FunctionIndex` (measured best-of to
-  shave scheduler noise, with a small absolute-time floor so sub-ms runs
-  don't trip on timer jitter).
+  :class:`~repro.core.function_index.FunctionIndex` (best-of over
+  interleaved rounds, so host drift hits both arms alike, with a small
+  absolute-time floor so sub-ms runs don't trip on timer jitter).
 
 Answers are asserted bit-identical along the way, so the speedup is not
 bought with approximation.
@@ -29,7 +29,7 @@ from repro import FunctionIndex, ShardedFunctionIndex
 from repro.bench import print_table
 from repro.datasets import Workload, load
 
-from conftest import scaled
+from conftest import interleaved_best_of, scaled
 
 _N_POINTS = scaled(200_000)
 _N_QUERIES = 48
@@ -157,11 +157,11 @@ def test_single_shard_overhead(benchmark):
     def measure():
         mono.query_batch(normals[:4], offsets[:4])  # warm
         engine.query_batch(normals[:4], offsets[:4])
-        mono_answers, mono_s = _best_of(
-            lambda: mono.query_batch(normals, offsets), repeat=5
-        )
-        shard_answers, shard_s = _best_of(
-            lambda: engine.query_batch(normals, offsets), repeat=5
+        # Interleaved rounds: timing one arm after the other lets host
+        # drift between the two phases decide a 10% gate.
+        mono_answers, mono_s, shard_answers, shard_s = interleaved_best_of(
+            lambda: mono.query_batch(normals, offsets),
+            lambda: engine.query_batch(normals, offsets),
         )
         for one, many in zip(mono_answers, shard_answers):
             assert np.array_equal(one.ids, many.ids)

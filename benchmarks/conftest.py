@@ -10,6 +10,7 @@ the paper's setup; default 1).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -36,3 +37,23 @@ def synthetic_cache():
         return cache[key]
 
     return get
+
+
+def interleaved_best_of(arm_a, arm_b, rounds=6):
+    """Best-of times of two arms timed alternately, round by round.
+
+    Each round runs both arms back to back and swaps which one goes
+    first, so drift in the host's speed lands on both arms alike instead
+    of deciding a comparison between them.  Returns
+    ``(answer_a, seconds_a, answer_b, seconds_b)`` with each arm's last
+    answer and its fastest round.
+    """
+    arms = (arm_a, arm_b)
+    answers = [None, None]
+    best = [float("inf"), float("inf")]
+    for round_no in range(rounds):
+        for arm in ((0, 1) if round_no % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            answers[arm] = arms[arm]()
+            best[arm] = min(best[arm], time.perf_counter() - start)
+    return answers[0], best[0], answers[1], best[1]

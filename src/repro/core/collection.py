@@ -6,6 +6,12 @@ unknown, the paper maintains ``r`` indices whose normals are sampled
 uniformly from the query-parameter domains (Section 5.2), removes redundant
 (mutually parallel) normals, and picks the best index per query with an
 ``O(r d')`` heuristic (Section 5.1).
+
+A batch of queries is those same single-query algorithms run one after
+another: it shares only the selection pass and one ``searchsorted`` per
+selected index, then finishes every query with the kernel a single query
+runs (:meth:`PlanarIndex.finish_query` or the scan route, and
+:meth:`PlanarIndex.finish_topk`), so batch and single answers are equal.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .selection import (
 )
 from .topk import TopKResult
 
-__all__ = ["PlanarIndexCollection", "dedupe_parallel_normals"]
+__all__ = ["PlanarIndexCollection", "dedupe_parallel_normals", "routes_to_scan"]
 
 # Two normals closer than this angle (radians) are considered parallel and
 # therefore redundant (Section 5.2).  float64 cannot resolve angles below
@@ -50,6 +56,11 @@ _PARALLEL_TOL = 1e-7
 # cheaper *exact* plan.  This mirrors a database optimizer preferring a
 # table scan over an unselective index.
 _SCAN_FALLBACK_FRACTION = 0.2
+
+
+def routes_to_scan(r_lo: int, r_hi: int, n: int) -> bool:
+    """Whether the router scans instead of verifying ranks ``[r_lo, r_hi)``."""
+    return r_hi - r_lo > _SCAN_FALLBACK_FRACTION * n
 
 
 @array_contract("normals: (r, d) float64 cast", returns="(k,) int64")
@@ -350,7 +361,7 @@ class PlanarIndexCollection:
         result_ids = ids[mask]
         if obs_on:
             _osp.record("scan", started, n=n)
-            best._record_partition("inequality", r_lo, r_hi - r_lo, n - r_hi, n)
+            best.record_partition("inequality", r_lo, r_hi - r_lo, n - r_hi, n)
         stats = QueryStats(
             n_total=n,
             si_size=r_lo,
@@ -361,14 +372,25 @@ class PlanarIndexCollection:
         )
         return QueryResult(result_ids, stats)
 
+    def _finish(
+        self, wq: WorkingQuery, best: PlanarIndex, r_lo: int, r_hi: int, n: int
+    ) -> tuple[QueryResult, str]:
+        """Finish one query from its ranks by the cost-based route.
+
+        Verifies the intermediate interval unless :func:`routes_to_scan`
+        picks the scan.  :meth:`query`, :meth:`query_batch` and
+        :meth:`explain` all finish here, so they answer alike.  Returns
+        the result and the route.
+        """
+        if routes_to_scan(r_lo, r_hi, n):
+            return self._scan_result(wq, best, r_lo, r_hi, n), "scan"
+        return best.finish_query(wq, r_lo, r_hi), "intervals"
+
     def _query_impl(self, wq: WorkingQuery) -> tuple[QueryResult, str]:
         """Route one working query; returns the result and the route taken."""
         cache = self._cache
         best = cache.indices[self._select_position(wq, cache)]
-        r_lo, r_hi, n = best.interval_ranks(wq)
-        if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n:
-            return best.finish_query(wq, r_lo, r_hi), "intervals"
-        return self._scan_result(wq, best, r_lo, r_hi, n), "scan"
+        return self._finish(wq, best, *best.interval_ranks(wq))
 
     def query(self, query: ScalarProductQuery) -> QueryResult:
         """Answer an inequality query via the best index (or a scan).
@@ -394,184 +416,51 @@ class PlanarIndexCollection:
         )
         return result
 
-    def _group_ranks(
-        self, index: PlanarIndex, working: list[WorkingQuery], members: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Interval ranks of every group member via one vectorized search."""
-        lows = np.empty(len(members))
-        highs = np.empty(len(members))
-        for slot, member in enumerate(members):
-            t_lo, t_hi, tol = index._thresholds(working[member])
-            lows[slot] = t_lo - tol
-            highs[slot] = t_hi + tol
-        keys = index._keys.sorted_keys
-        rank_los = np.searchsorted(keys, lows, side="right")
-        rank_his = np.searchsorted(keys, highs, side="right")
-        return rank_los, rank_his
+    def _grouped(
+        self, working: list[WorkingQuery]
+    ) -> Iterator[tuple[int, PlanarIndex, int, int, int]]:
+        """``(member, index, r_lo, r_hi, n)`` for every query of a batch.
 
-    @staticmethod
-    def _merged_windows(members: list[tuple[int, int, int]]) -> list[list[int]]:
-        """Disjoint union of the members' ``[r_lo, r_hi)`` rank windows.
-
-        Merging overlapping windows bounds the union gather by the live
-        row count even when every member verifies nearly the same
-        interval — the GEMM then touches each candidate row once.
+        The work a batch really shares: each query is selected as
+        :meth:`query` selects it, queries are grouped by their selected
+        index, and each group's interval ranks come from one vectorized
+        search (:meth:`PlanarIndex.group_ranks`).
         """
-        merged: list[list[int]] = []
-        for r_lo, r_hi in sorted((m[1], m[2]) for m in members if m[2] > m[1]):
-            if merged and r_lo <= merged[-1][1]:
-                if r_hi > merged[-1][1]:
-                    merged[-1][1] = r_hi
-            else:
-                merged.append([r_lo, r_hi])
-        return merged
-
-    def _gemm_values(
-        self,
-        index: PlanarIndex,
-        working: list[WorkingQuery],
-        members: list[tuple[int, int, int]],
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(union_ids, values)`` of one group's candidate verification.
-
-        ``union_ids`` is the ascending union of every member's
-        intermediate-interval ids and ``values[i, j]`` is
-        ``<normal_j, phi(union_ids[i])>`` for member ``j``'s canonical
-        query normal — one ``(rows × queries)`` GEMM over a contiguous
-        gather instead of one matrix-vector product per member.  Returns
-        ``(None, None)`` when every member's interval is empty.
-        """
-        merged = self._merged_windows(members)
-        if not merged:
-            return None, None
-        union_ids = np.sort(
-            np.concatenate(
-                [index._keys.ids_in_rank_range(lo, hi) for lo, hi in merged]
-            )
-        )
-        rows = self._store.take_rows(union_ids)
-        normals = np.vstack([working[m].query.normal for m, _, _ in members])
-        values = rows @ normals.T
-        return union_ids, values
-
-    def _finish_group(
-        self,
-        index: PlanarIndex,
-        working: list[WorkingQuery],
-        members: list[tuple[int, int, int]],
-        results: list[QueryResult | None],
-    ) -> None:
-        """Finish one index group's interval-routed members off one GEMM."""
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        union_ids, values = self._gemm_values(index, working, members)
-        if obs_on and union_ids is not None:
-            _osp.record(
-                "verify_II_batch", started,
-                index=index.obs_label,
-                n_rows=int(union_ids.size),
-                n_queries=len(members),
-            )
-        for column, (member, r_lo, r_hi) in enumerate(members):
-            wq = working[member]
-            if union_ids is None or r_hi <= r_lo:
-                results[member] = index.finish_query(wq, r_lo, r_hi)
-                continue
-            member_ids = np.sort(index._keys.ids_in_rank_range(r_lo, r_hi))
-            positions = np.searchsorted(union_ids, member_ids)
-            results[member] = index.finish_query(
-                wq, r_lo, r_hi, precomputed=(member_ids, values[positions, column])
-            )
-
-    def _scan_group(
-        self,
-        working: list[WorkingQuery],
-        members: list[tuple[int, PlanarIndex, int, int, int]],
-        results: list[QueryResult | None],
-    ) -> None:
-        """Answer every scan-routed member (across all groups) off one GEMM.
-
-        Batched twin of :meth:`_scan_result`: one
-        :meth:`FeatureStore.scan_values_many` call replaces one streamed
-        matmul per query; per-query stats and partition counters are
-        recorded exactly as the single-query path records them.
-        """
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        normals = np.vstack(
-            [working[member].query.normal for member, *_ in members]
-        )
-        ids, values = self._store.scan_values_many(normals)
-        if obs_on:
-            _osp.record("scan_batch", started, n_queries=len(members))
-        for column, (member, index, r_lo, r_hi, n) in enumerate(members):
-            wq = working[member]
-            mask = wq.op.evaluate(values[:, column], wq.query.offset)
-            result_ids = ids[mask]
-            if obs_on:
-                index._record_partition(
-                    "inequality", r_lo, r_hi - r_lo, n - r_hi, n
-                )
-            results[member] = QueryResult(
-                result_ids,
-                QueryStats(
-                    n_total=n,
-                    si_size=r_lo,
-                    ii_size=r_hi - r_lo,
-                    li_size=n - r_hi,
-                    n_verified=n,
-                    n_results=int(result_ids.size),
-                ),
-            )
-
-    def query_batch(self, queries: Sequence[ScalarProductQuery]) -> list[QueryResult]:
-        """Answer many inequality queries with batched searches and GEMMs.
-
-        Queries are grouped by their selected index; each group's interval
-        boundaries come from one vectorized ``searchsorted`` over the
-        group's thresholds, the group's candidate verification is one
-        ``(rows × queries)`` matrix product over the union of the
-        members' intermediate intervals, and scan-routed queries from
-        *all* groups share one multi-normal store scan.  Results are
-        positionally aligned with ``queries`` and identical to per-query
-        :meth:`query` calls (including the cost-based scan routing);
-        ``QueryStats`` are still computed per query.
-        """
-        obs_on = _ort.active()
-        batch_started = time.perf_counter() if obs_on else 0.0
-        working = [self.working_query(query) for query in queries]
         cache = self._cache
         groups: dict[int, list[int]] = {}
         for position, wq in enumerate(working):
             groups.setdefault(self._select_position(wq, cache), []).append(position)
-
-        results: list[QueryResult | None] = [None] * len(queries)
-        scan_members: list[tuple[int, PlanarIndex, int, int, int]] = []
-        n_intervals = 0
         for index_position, members in groups.items():
             index = cache.indices[index_position]
-            rank_los, rank_his = self._group_ranks(index, working, members)
-            n = len(index)
-            interval_members: list[tuple[int, int, int]] = []
-            for slot, member in enumerate(members):
-                r_lo, r_hi = int(rank_los[slot]), int(rank_his[slot])
-                if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n:
-                    interval_members.append((member, r_lo, r_hi))
-                    n_intervals += 1
-                else:
-                    scan_members.append((member, index, r_lo, r_hi, n))
-            if interval_members:
-                self._finish_group(index, working, interval_members, results)
-        n_scans = len(scan_members)
-        if scan_members:
-            self._scan_group(working, scan_members, results)
+            rank_los, rank_his, n = index.group_ranks([working[m] for m in members])
+            for member, r_lo, r_hi in zip(members, rank_los, rank_his):
+                yield member, index, r_lo, r_hi, n
+
+    def query_batch(self, queries: Sequence[ScalarProductQuery]) -> list[QueryResult]:
+        """Answer many inequality queries, sharing selection and rank search.
+
+        Queries are grouped by their selected index and each group's
+        interval ranks come from one vectorized ``searchsorted``; then
+        every query finishes with exactly the code :meth:`query` runs
+        (:meth:`PlanarIndex.finish_query` on the interval route, the
+        store scan on the scan route).  Results are positionally aligned
+        with ``queries`` and equal to per-query :meth:`query` calls bit
+        for bit, ``QueryStats`` included.
+        """
+        obs_on = _ort.active()
+        batch_started = time.perf_counter() if obs_on else 0.0
+        working = [self.working_query(query) for query in queries]
+        results: list[QueryResult | None] = [None] * len(queries)
+        routes = {"intervals": 0, "scan": 0}
+        for member, index, r_lo, r_hi, n in self._grouped(working):
+            results[member], route = self._finish(working[member], index, r_lo, r_hi, n)
+            routes[route] += 1
         if obs_on:
             strategy = self._strategy.value
             counter = _om.queries_total()
-            if n_intervals:
-                counter.inc(n_intervals, kind="batch", route="intervals", strategy=strategy)
-            if n_scans:
-                counter.inc(n_scans, kind="batch", route="scan", strategy=strategy)
+            for route, count in routes.items():
+                if count:
+                    counter.inc(count, kind="batch", route=route, strategy=strategy)
             _osp.record("collection.query_batch", batch_started, n_queries=len(queries))
             _om.query_latency().observe(
                 time.perf_counter() - batch_started, kind="batch", route="mixed"
@@ -609,49 +498,23 @@ class PlanarIndexCollection:
     def topk_batch(
         self, queries: Sequence[ScalarProductQuery], k: int
     ) -> list[TopKResult]:
-        """Answer many top-k queries, batching selection and II verification.
+        """Answer many top-k queries, sharing selection and rank search.
 
-        Queries are grouped by their selected index; each group's
-        intermediate-interval candidates are verified with one
-        ``(rows × queries)`` GEMM (the same union-window gather as
-        :meth:`query_batch`), after which each member runs its own LBS
-        cutoff scan — that walk is adaptive per query and inherently
-        sequential (Algorithm 2), so only the verification stage batches.
-        Results are positionally aligned and identical to per-query
-        :meth:`topk` calls.
+        Queries are grouped by their selected index and each group's
+        interval ranks come from one vectorized ``searchsorted``; then
+        every query runs Algorithm 2 from its ranks with exactly the code
+        :meth:`topk` runs (:meth:`PlanarIndex.finish_topk`).  Results are
+        positionally aligned with ``queries`` and equal to per-query
+        :meth:`topk` calls bit for bit.
         """
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
         obs_on = _ort.active()
         batch_started = time.perf_counter() if obs_on else 0.0
         working = [self.working_query(query) for query in queries]
-        cache = self._cache
-        groups: dict[int, list[int]] = {}
-        for position, wq in enumerate(working):
-            groups.setdefault(self._select_position(wq, cache), []).append(position)
-
         results: list[TopKResult | None] = [None] * len(queries)
-        for index_position, members in groups.items():
-            index = cache.indices[index_position]
-            rank_los, rank_his = self._group_ranks(index, working, members)
-            n = len(index)
-            bounded = [
-                (member, int(rank_los[slot]), int(rank_his[slot]))
-                for slot, member in enumerate(members)
-            ]
-            union_ids, values = self._gemm_values(index, working, bounded)
-            for column, (member, r_lo, r_hi) in enumerate(bounded):
-                wq = working[member]
-                if union_ids is None or r_hi <= r_lo:
-                    ids_ii = np.sort(index._keys.ids_in_rank_range(r_lo, r_hi))
-                    values_ii = None
-                else:
-                    ids_ii = np.sort(index._keys.ids_in_rank_range(r_lo, r_hi))
-                    positions = np.searchsorted(union_ids, ids_ii)
-                    values_ii = values[positions, column]
-                results[member] = index._topk_from_ii(
-                    wq, k, None, r_lo, r_hi, n, ids_ii, values_ii
-                )
+        for member, index, r_lo, r_hi, n in self._grouped(working):
+            results[member] = index.finish_topk(working[member], k, r_lo, r_hi, n)
         if obs_on:
             _om.queries_total().inc(
                 len(queries), kind="topk", route="intervals",
@@ -677,10 +540,10 @@ class PlanarIndexCollection:
         :meth:`PlanarIndex.query_range` entry point reports.
         """
         if not _ort.active():
-            return self.select(wq_high)._query_range_impl(wq_low, wq_high)
+            return self.select(wq_high).answer_range(wq_low, wq_high)
         started = time.perf_counter()
         with _osp.span("collection.query_range", strategy=self._strategy.value):
-            result = self.select(wq_high)._query_range_impl(wq_low, wq_high)
+            result = self.select(wq_high).answer_range(wq_low, wq_high)
         _om.queries_total().inc(
             kind="range", route="intervals", strategy=self._strategy.value
         )
@@ -726,12 +589,7 @@ class PlanarIndexCollection:
             )
         best = cache.indices[chosen]
         r_lo, r_hi, n = ranks[chosen]
-        if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n:
-            route = "intervals"
-            result = best.finish_query(wq, r_lo, r_hi)
-        else:
-            route = "scan"
-            result = self._scan_result(wq, best, r_lo, r_hi, n)
+        result, route = self._finish(wq, best, r_lo, r_hi, n)
         stats = result.stats
         if _ort.active():
             _om.explain_total().inc(route=route)

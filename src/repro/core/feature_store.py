@@ -182,25 +182,6 @@ class FeatureStore:
         ids = self.live_ids()
         return ids, values[ids]
 
-    @array_contract("normals: (m, d) float64 cast promote")
-    def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, values)`` of every live row under ``m`` normals at once.
-
-        ``values`` has shape ``(n_live, m)`` with column ``j`` equal to
-        ``scan_values(normals[j])[1]`` — one GEMM instead of ``m``
-        matrix-vector products, which is what makes batched scan-routed
-        queries cheap.  Counts ``m`` store scans (each column is one
-        logical scan).
-        """
-        normals = as_2d_float(normals, "normals")
-        if _ort.active():
-            _om.store_scans().inc(normals.shape[0])
-        values = self._data @ np.ascontiguousarray(normals.T)
-        if self._n_live == self.capacity:
-            return np.arange(self.capacity, dtype=np.int64), values
-        ids = self.live_ids()
-        return ids, values[ids]
-
     @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
     def update(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Replace the feature vectors of existing live rows."""

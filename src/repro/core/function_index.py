@@ -33,7 +33,7 @@ from ..obs import runtime as _ort
 from ..obs import trace as _otr
 from ..reliability.degraded import DegradedInfo
 from ..obs.explain import ExplainReport
-from .collection import PlanarIndexCollection
+from .collection import PlanarIndexCollection, routes_to_scan
 from .domains import QueryModel
 from .feature_store import FeatureStore
 from .phi import FeatureMap, identity_map
@@ -490,11 +490,11 @@ class FunctionIndex:
     ) -> list[TopKResult]:
         """Answer a batch of top-k queries sharing one operator and ``k``.
 
-        Candidate verification is batched per selected index with one
-        GEMM (see :meth:`PlanarIndexCollection.topk_batch`); each query's
-        LBS cutoff scan still runs individually.  Octant-incompatible
-        queries fall back to sequential-scan top-k one by one.  The batch
-        is one trace.
+        Selection and the binary searches are shared per selected index;
+        each query then runs Algorithm 2 exactly as :meth:`topk` does (see
+        :meth:`PlanarIndexCollection.topk_batch`), so answers equal the
+        loop of singles.  Octant-incompatible queries fall back to
+        sequential-scan top-k one by one.  The batch is one trace.
         """
         k = check_k(k)
         return self._topk_batch(batch_queries(normals, offsets, op, self._phi.out_dim), k)
@@ -535,8 +535,6 @@ class FunctionIndex:
         fallback for an unselective index), or ``"octant-fallback"``
         (parameter signs incompatible with the indexed octant).
         """
-        from .collection import _SCAN_FALLBACK_FRACTION
-
         spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
         try:
             wq = self._collection.working_query(spq)
@@ -550,9 +548,7 @@ class FunctionIndex:
         index = self._collection[position]
         r_lo, r_hi, n = index.interval_ranks(wq)
         intermediate = r_hi - r_lo
-        route = (
-            "scan" if intermediate > _SCAN_FALLBACK_FRACTION * n else "intervals"
-        )
+        route = "scan" if routes_to_scan(r_lo, r_hi, n) else "intervals"
         return {
             "route": route,
             "strategy": self._collection.strategy.value,

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -359,6 +360,30 @@ class PlanarIndex:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)
 
+    def group_ranks(
+        self, working: Sequence[WorkingQuery]
+    ) -> tuple[list[int], list[int], int]:
+        """:meth:`interval_ranks` of many queries via one vectorized search.
+
+        Each query's thresholds are exactly the ones
+        :meth:`interval_ranks` searches for, so the ranks are equal query
+        for query; only the two ``searchsorted`` calls are shared.
+        """
+        obs_on = _ort.active()
+        started = time.perf_counter() if obs_on else 0.0
+        bounds = np.empty((2, len(working)))
+        for slot, wq in enumerate(working):
+            t_lo, t_hi, tol = self._thresholds(wq)
+            bounds[0, slot] = t_lo - tol
+            bounds[1, slot] = t_hi + tol
+        ranks = np.searchsorted(self._keys.sorted_keys, bounds, side="right")
+        if obs_on:
+            _osp.record(
+                "binary_search", started, index=self._obs_label,
+                n_queries=len(working),
+            )
+        return ranks[0].tolist(), ranks[1].tolist(), len(self._keys)
+
     def max_stretch(self, wq: WorkingQuery) -> float:
         """Maximum stretch of the intermediate interval (Problem 3, Eq. 15).
 
@@ -414,7 +439,7 @@ class PlanarIndex:
         )
         return result
 
-    def _record_partition(self, kind: str, si: int, ii: int, li: int, n_verified: int) -> None:
+    def record_partition(self, kind: str, si: int, ii: int, li: int, n_verified: int) -> None:
         """O(1) metric bookkeeping for one answered query (obs armed only)."""
         counts = _om.interval_points()
         label = self._obs_label
@@ -423,22 +448,14 @@ class PlanarIndex:
         counts.inc(li, interval="li", index=label)
         _om.verified_points().inc(n_verified, kind=kind)
 
-    def finish_query(
-        self,
-        wq: WorkingQuery,
-        r_lo: int,
-        r_hi: int,
-        precomputed: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> QueryResult:
-        """Complete an inequality query from precomputed interval ranks.
+    def finish_query(self, wq: WorkingQuery, r_lo: int, r_hi: int) -> QueryResult:
+        """Complete an inequality query from its interval ranks.
 
-        Split out of :meth:`query` so batch evaluation can compute the
-        ranks of many queries with one vectorized binary search and then
-        finish each query individually.  ``precomputed`` optionally
-        carries ``(verify_ids, values)`` — the sorted intermediate-interval
-        ids and their scalar products ``<a, phi(x)>`` under the canonical
-        query normal — produced by the collection's batched GEMM so the
-        per-query finish only applies the operator mask.
+        Split out of :meth:`query` so a batch can compute the ranks of
+        many queries with one vectorized binary search
+        (:meth:`group_ranks`) and then finish each query with exactly the
+        code a single query runs: accept the certain interval, verify the
+        intermediate interval against the query, materialize.
         """
         obs_on = _ort.active()
         n = len(self._keys)
@@ -451,19 +468,12 @@ class PlanarIndex:
         # sequential (np.take over ascending ids), which is the dominant
         # cost of verification at numpy speeds.
         started = time.perf_counter() if obs_on else 0.0
-        if precomputed is None:
-            verify_ids = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
-            n_verified = int(verify_ids.size)
-            if n_verified:
-                feats = self._store.take_rows(verify_ids)
-                mask = wq.query.evaluate(feats)
-                accepted.append(verify_ids[mask])
-        else:
-            verify_ids, values = precomputed
-            n_verified = int(verify_ids.size)
-            if n_verified:
-                mask = wq.op.evaluate(values, wq.query.offset)
-                accepted.append(verify_ids[mask])
+        verify_ids = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
+        n_verified = int(verify_ids.size)
+        if n_verified:
+            feats = self._store.take_rows(verify_ids)
+            mask = wq.query.evaluate(feats)
+            accepted.append(verify_ids[mask])
         if obs_on:
             _osp.record("verify_II", started, n_verified=n_verified)
             started = time.perf_counter()
@@ -471,7 +481,7 @@ class PlanarIndex:
         result_ids = np.sort(np.concatenate(accepted))
         if obs_on:
             _osp.record("materialize", started, n_results=int(result_ids.size))
-            self._record_partition(
+            self.record_partition(
                 "inequality", r_lo, r_hi - r_lo, n - r_hi, n_verified
             )
         stats = QueryStats(
@@ -535,16 +545,16 @@ class PlanarIndex:
         ``topk`` label).
         """
         if not _ort.active():
-            return self._query_range_impl(wq_low, wq_high)
+            return self.answer_range(wq_low, wq_high)
         started = time.perf_counter()
-        result = self._query_range_impl(wq_low, wq_high)
+        result = self.answer_range(wq_low, wq_high)
         _om.queries_total().inc(kind="range", route="intervals", strategy="solo")
         _om.query_latency().observe(
             time.perf_counter() - started, kind="range", route="intervals"
         )
         return result
 
-    def _query_range_impl(
+    def answer_range(
         self,
         wq_low: WorkingQuery,
         wq_high: WorkingQuery,
@@ -610,7 +620,7 @@ class PlanarIndex:
                 "index.query_range", started, index=self._obs_label,
                 n_verified=n_verified,
             )
-            self._record_partition(
+            self.record_partition(
                 "range", stats.si_size, stats.ii_size, stats.li_size, n_verified
             )
         return QueryResult(result_ids, stats)
@@ -651,28 +661,23 @@ class PlanarIndex:
             raise InvalidQueryError(f"k must be positive, got {k}")
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         r_lo, r_hi, n = self.interval_ranks(wq)
-        ids_ii = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
-        return self._topk_from_ii(wq, k, cutoff, r_lo, r_hi, n, ids_ii, None)
+        return self.finish_topk(wq, k, r_lo, r_hi, n, cutoff)
 
-    def _topk_from_ii(
+    def finish_topk(
         self,
         wq: WorkingQuery,
         k: int,
-        cutoff: SharedCutoff | None,
         r_lo: int,
         r_hi: int,
         n: int,
-        ids_ii: np.ndarray,
-        values_ii: np.ndarray | None,
+        cutoff: SharedCutoff | None = None,
     ) -> TopKResult:
-        """Algorithm 2 from precomputed interval ranks and II candidates.
+        """Algorithm 2 from interval ranks: the top-k twin of :meth:`finish_query`.
 
-        ``ids_ii`` must be the sorted intermediate-interval ids.
-        ``values_ii`` optionally carries their scalar products
-        ``<a, phi(x)>`` under the canonical query normal (the collection's
-        batched GEMM supplies them); when None they are computed here.
-        The LBS cutoff scan that follows is inherently sequential per
-        query, so only the II verification is batchable.
+        Verifies the intermediate interval into a bounded buffer, then
+        runs the LBS cutoff scan.  A batch computes the ranks of many
+        queries with :meth:`group_ranks` and finishes each one here, so
+        batched and single answers are the same computation.
         """
         obs_on = _ort.active()
         op = wq.op
@@ -680,13 +685,11 @@ class PlanarIndex:
         n_checked = 0
 
         started = time.perf_counter() if obs_on else 0.0
+        ids_ii = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
         if ids_ii.size:
             n_checked += int(ids_ii.size)
-            if values_ii is None:
-                feats = self._store.take_rows(ids_ii)
-                values = feats @ wq.query.normal
-            else:
-                values = values_ii
+            feats = self._store.take_rows(ids_ii)
+            values = feats @ wq.query.normal
             mask = op.evaluate(values, wq.query.offset)
             distances = np.abs(values[mask] - wq.query.offset) / wq.norm
             buffer.offer_many(distances, ids_ii[mask])
@@ -766,7 +769,7 @@ class PlanarIndex:
                 "scan_LBS", started, index=self._obs_label,
                 n_scanned=n_checked - int(ids_ii.size),
             )
-            self._record_partition("topk", r_lo, r_hi - r_lo, n - r_hi, n_checked)
+            self.record_partition("topk", r_lo, r_hi - r_lo, n - r_hi, n_checked)
         ids, distances = buffer.as_sorted()
         return TopKResult(
             ids=ids, distances=distances, n_checked=n_checked, n_total=n, stats=stats

@@ -162,17 +162,3 @@ class FeatureStoreView:
         ids = self.live_ids()
         values = self._local_rows() @ np.ascontiguousarray(normal, dtype=np.float64)  # repro: noqa(REP001) — shard-local scan, cost-routed by the collection
         return ids, values
-
-    def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shard-restricted batched scan: ``(ids, (n_owned, m) values)``.
-
-        Column ``j`` equals ``scan_values(normals[j])[1]`` — one GEMM over
-        the memoized contiguous slice instead of ``m`` matrix-vector
-        products (mirrors :meth:`FeatureStore.scan_values_many`).
-        """
-        normals = np.ascontiguousarray(normals, dtype=np.float64)
-        if _ort.active():
-            _om.store_scans().inc(normals.shape[0])
-        ids = self.live_ids()
-        values = self._local_rows() @ np.ascontiguousarray(normals.T)  # repro: noqa(REP001) — shard-local scan, cost-routed by the collection
-        return ids, values

@@ -3,11 +3,10 @@
 Turns concurrent network requests into the batched engine calls the
 parallel layer answers cheaply: a micro-batcher coalesces requests
 within a small time/size window into single ``query_batch`` /
-``topk_batch`` calls (answers equal to the engine's own batch calls;
-equal to single-query calls only on integer-valued data, see
-``docs/serving.md``), and
-per-tenant admission control — token-bucket quotas, priority classes, a
-bounded queue with brownout shedding — keeps overload at the front door
+``topk_batch`` calls (answers equal to the engine's own batch calls
+and to single-query calls), and per-tenant admission control —
+token-bucket quotas, priority classes, a bounded queue with brownout
+shedding — keeps overload at the front door
 instead of inside the engine.  The resilience module closes the failure
 story end-to-end: per-request deadline budgets propagated through every
 hop (``X-Repro-Deadline-Ms`` → admission → linger → engine timeout),

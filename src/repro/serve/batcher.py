@@ -4,10 +4,8 @@ The service admits requests onto one asyncio queue; this module drains
 that queue and turns *windows* of requests into single
 ``ShardedFunctionIndex.query_batch`` / ``topk_batch`` calls — so
 concurrency buys amortization instead of executor contention.  Answers
-equal the engine's own ``query_batch`` / ``topk_batch`` answers: the
-batcher only regroups requests.  They equal a loop of single-query
-calls only on integer-valued data; on non-integer data the batch
-(GEMM) path can disagree at the boundary (see ``docs/serving.md``).
+equal the engine's own ``query_batch`` / ``topk_batch`` answers, which
+equal a loop of single-query calls: the batcher only regroups requests.
 
 Coalescing policy (``window > 0``):
 

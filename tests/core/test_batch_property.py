@@ -1,7 +1,8 @@
 """Property tests: ``query_batch`` is exactly the loop of single queries.
 
-Satellite regression for the batch path: hypothesis drives dataset size,
-dimension, operator, and query geometry, and every example asserts that
+Regression for the batch path: hypothesis drives dataset size,
+dimension, operator, query geometry and the data itself (integer-valued,
+or floating-point with boundary offsets), and every example asserts that
 ``index.query_batch(normals, offsets, op)`` returns *bit-identical* ids
 and stats to ``[index.query(n, o, op) for ...]``.  The suite pins the
 ``_SCAN_FALLBACK_FRACTION`` router boundary explicitly — forcing the
@@ -29,22 +30,35 @@ def batch_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**16))
     op = draw(st.sampled_from(["<=", "<", ">=", ">"]))
     offset_scale = draw(st.floats(min_value=0.0, max_value=1.5))
-    return dim, n, m, n_indices, seed, op, offset_scale
+    integer = draw(st.booleans())
+    return dim, n, m, n_indices, seed, op, offset_scale, integer
 
 
 def _build(case):
-    dim, n, m, n_indices, seed, op, offset_scale = case
+    dim, n, m, n_indices, seed, op, offset_scale, integer = case
     rng = np.random.default_rng(seed)
-    # Integer-valued inputs keep every scalar product exact in float64,
-    # so "identical" includes tie-breaks and boundary membership.
-    points = rng.integers(1, 30, size=(n, dim)).astype(np.float64)
     model = QueryModel.uniform(dim=dim, low=1.0, high=5.0, rq=4)
+    if integer:
+        # Integer-valued inputs keep every scalar product exact in float64,
+        # so "identical" includes tie-breaks and boundary membership.
+        points = rng.integers(1, 30, size=(n, dim)).astype(np.float64)
+        normals = rng.integers(1, 6, size=(m, dim)).astype(np.float64)
+        column_max = points.max(axis=0)
+        offsets = np.asarray(
+            [float(np.round(offset_scale * normal @ column_max)) for normal in normals]
+        )
+    else:
+        # Real floating-point data: per-axis scales 10^U(-3, 3), and each
+        # offset is a stored point's own score, so some point sits on the
+        # query hyperplane up to rounding — the case where two ways of
+        # computing a scalar product can disagree.
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+        points = rng.uniform(1.0, 30.0, size=(n, dim)) * scales
+        normals = rng.uniform(1.0, 6.0, size=(m, dim))
+        offsets = np.asarray(
+            [float(points[rng.integers(n)] @ normal) for normal in normals]
+        )
     index = FunctionIndex(points, model, n_indices=n_indices, rng=seed)
-    normals = rng.integers(1, 6, size=(m, dim)).astype(np.float64)
-    column_max = points.max(axis=0)
-    offsets = np.asarray(
-        [float(np.round(offset_scale * normal @ column_max)) for normal in normals]
-    )
     return index, normals, offsets, op
 
 
@@ -101,7 +115,7 @@ class TestBatchEqualsSingles:
 
 
 class TestTopkBatchEqualsSingles:
-    """``topk_batch`` (GEMM-batched Algorithm 2 candidates) vs the loop."""
+    """``topk_batch`` (shared rank search, per-query Algorithm 2) vs the loop."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -116,6 +130,8 @@ class TestTopkBatchEqualsSingles:
             single = index.topk(normals[row], float(offsets[row]), k, op)
             assert np.array_equal(result.ids, single.ids)
             assert np.array_equal(result.distances, single.distances)
+            assert result.n_checked == single.n_checked
+            assert result.stats == single.stats
 
     @settings(max_examples=15, deadline=None)
     @given(case=batch_cases(), k=st.integers(min_value=1, max_value=8))
@@ -131,8 +147,8 @@ class TestTopkBatchEqualsSingles:
 
 class TestAwkwardInputLayouts:
     """Mixed-dtype / non-contiguous batch inputs answer identically to
-    clean float64 C-order arrays (satellite regression: the GEMM path
-    must canonicalize before multiplying, not assume layout)."""
+    clean float64 C-order arrays (regression: batch input parsing must
+    canonicalize normals before any scalar product, not assume layout)."""
 
     def _index(self, dim=3, seed=3):
         rng = np.random.default_rng(seed)

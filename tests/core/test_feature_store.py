@@ -130,34 +130,9 @@ class TestLiveIdsInvariant:
             assert np.array_equal(store.live_ids(), sorted(expected))
             got = store.get(np.asarray(sorted(expected), dtype=np.int64))
             assert np.array_equal(got, np.vstack([expected[i] for i in sorted(expected)]))
-        # Scan paths must agree with the surviving id set too.
+        # The scan path must agree with the surviving id set too.
         ids, values = store.scan_values(np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(ids, sorted(expected))
-        ids_many, values_many = store.scan_values_many(
-            np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        )
-        assert np.array_equal(ids_many, sorted(expected))
-        assert np.allclose(values_many[:, 0], values)
-
-
-class TestScanValuesMany:
-    def test_columns_match_single_scans(self, store):
-        normals = np.array([[1.0, 0.0, 0.0], [0.5, 2.0, -1.0], [3.0, 3.0, 3.0]])
-        ids_many, values_many = store.scan_values_many(normals)
-        assert values_many.shape == (len(store), 3)
-        for column, normal in enumerate(normals):
-            ids_one, values_one = store.scan_values(normal)
-            assert np.array_equal(ids_many, ids_one)
-            assert np.array_equal(values_many[:, column], values_one)
-
-    def test_columns_match_after_deletes(self, store):
-        store.delete(np.array([1]))
-        normals = np.array([[1.0, 1.0, 1.0], [2.0, 0.0, 1.0]])
-        ids_many, values_many = store.scan_values_many(normals)
-        assert np.array_equal(ids_many, [0, 2, 3])
-        for column, normal in enumerate(normals):
-            _, values_one = store.scan_values(normal)
-            assert np.array_equal(values_many[:, column], values_one)
 
 
 class TestReadOnlyBacking:

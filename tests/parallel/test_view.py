@@ -106,8 +106,3 @@ class TestCacheInvalidation:
                 ids, values = view.scan_values(normal)
                 assert np.array_equal(ids, view.live_ids())
                 assert np.allclose(values, base.get(ids) @ normal)
-                ids_many, values_many = view.scan_values_many(
-                    np.vstack([normal, normal[::-1]])
-                )
-                assert np.array_equal(ids_many, ids)
-                assert np.allclose(values_many[:, 0], values)

@@ -1,9 +1,11 @@
 """Shared fixtures for the serving-layer tests.
 
-Datasets are integer-valued (the repo's bit-identity idiom: every scalar
-product is exact in float64, so "identical" includes boundary membership
-and tie-breaks), engines are small, and the HTTP helpers speak plain
-``http.client`` so the tests exercise the real socket path.
+Datasets are integer-valued by default (every scalar product is exact in
+float64, so "identical" includes boundary membership and tie-breaks);
+``float_dataset`` / ``float_queries`` supply real floating-point data
+with offsets on a stored point's score.  Engines are small, and the HTTP
+helpers speak plain ``http.client`` so the tests exercise the real
+socket path.
 """
 
 from __future__ import annotations
@@ -37,9 +39,33 @@ def integer_queries(points, m=6, seed=1, scale=0.4):
     return normals, offsets
 
 
-def build_engine(n=400, dim=4, seed=0, n_shards=2, **kwargs):
-    """A small sharded engine over an integer dataset."""
-    points, model = integer_dataset(n=n, dim=dim, seed=seed)
+def float_dataset(n=400, dim=4, seed=0):
+    """Floating-point points with per-axis scales 10^U(-3, 3)."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+    points = rng.uniform(1.0, 30.0, size=(n, dim)) * scales
+    model = QueryModel.uniform(dim=dim, low=1.0, high=5.0, rq=4)
+    return points, model
+
+
+def float_queries(points, m=6, seed=1, scale=0.4):
+    """Non-integer normals; each offset is a stored point's own score.
+
+    The offset is the score at quantile ``min(scale, 1)``, so some point
+    sits on the query hyperplane up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    normals = rng.uniform(1.0, 6.0, size=(m, points.shape[1]))
+    rank = int(min(scale, 1.0) * (points.shape[0] - 1))
+    offsets = np.asarray(
+        [float(np.sort(points @ normal)[rank]) for normal in normals]
+    )
+    return normals, offsets
+
+
+def build_engine(n=400, dim=4, seed=0, n_shards=2, dataset=integer_dataset, **kwargs):
+    """A small sharded engine over ``dataset`` (integer-valued by default)."""
+    points, model = dataset(n=n, dim=dim, seed=seed)
     engine = ShardedFunctionIndex(
         points, model, n_indices=6, rng=seed, n_shards=n_shards, **kwargs
     )

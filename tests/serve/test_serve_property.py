@@ -5,8 +5,9 @@ comparison operators, varying k) and fires them at a live service from
 concurrent threads — so requests land in arbitrary interleavings and
 coalesce into arbitrary micro-batches — then asserts every response's
 ids (and distances, for top-k) equal the direct engine call on the same
-arguments.  The dataset is integer-valued, so "equal" includes boundary
-membership and tie-breaks.
+arguments.  It runs over an integer-valued dataset and over real
+floating-point data whose offsets sit on a stored point's score, so
+"equal" includes boundary membership and tie-breaks on both.
 
 The assertions compare ids and distances only (not degraded metadata):
 under the chaos CI lane an ambient ``every=N`` fault plan ticks global
@@ -26,16 +27,30 @@ from hypothesis import strategies as st
 from repro.reliability import faults as _flt
 from repro.serve import ServiceConfig, serve_in_thread
 
-from .conftest import build_engine, http_json, integer_queries
+from .conftest import (
+    build_engine,
+    float_dataset,
+    float_queries,
+    http_json,
+    integer_dataset,
+    integer_queries,
+)
 from .test_resilience_http import http_json_with_headers
 
+#: ``(dataset, query maker)`` per data kind the served parity runs over.
+_DATA = {
+    "integer": (integer_dataset, integer_queries),
+    "float": (float_dataset, float_queries),
+}
 
-@pytest.fixture(scope="module")
-def served():
-    engine, points = build_engine(n=300, dim=3, seed=20, n_shards=2)
+
+@pytest.fixture(scope="module", params=sorted(_DATA))
+def served(request):
+    dataset, make_queries = _DATA[request.param]
+    engine, points = build_engine(n=300, dim=3, seed=20, n_shards=2, dataset=dataset)
     config = ServiceConfig(batch_window_s=0.005, batch_max=32, queue_depth=128)
     handle = serve_in_thread(engine, config)
-    yield engine, points, handle
+    yield engine, points, handle, make_queries
     handle.stop()
     engine.close()
 
@@ -45,25 +60,29 @@ def request_sets(draw):
     m = draw(st.integers(min_value=1, max_value=10))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     scale = draw(st.floats(min_value=0.0, max_value=1.2))
-    specs = [
-        (
-            draw(st.sampled_from(["query", "topk"])),
-            draw(st.sampled_from(["<=", "<", ">=", ">"])),
-            draw(st.integers(min_value=1, max_value=9)),
+    # Requests share a few (op, comparison, k) shapes, so the batcher's
+    # per-shape engine calls get several members, not one each.
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["query", "topk"]),
+                st.sampled_from(["<=", "<", ">=", ">"]),
+                st.integers(min_value=1, max_value=9),
+            ),
+            min_size=1,
+            max_size=3,
         )
-        for _ in range(m)
-    ]
+    )
+    specs = [draw(st.sampled_from(shapes)) for _ in range(m)]
     return seed, scale, specs
 
 
 @given(case=request_sets())
 @settings(max_examples=10, deadline=None)
 def test_served_answers_equal_direct_calls(served, case):
-    engine, points, handle = served
+    engine, points, handle, make_queries = served
     seed, scale, specs = case
-    normals, offsets = integer_queries(
-        points, m=len(specs), seed=seed, scale=scale
-    )
+    normals, offsets = make_queries(points, m=len(specs), seed=seed, scale=scale)
 
     def fire(i):
         op, comparison, k = specs[i]
